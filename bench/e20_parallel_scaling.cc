@@ -11,7 +11,8 @@
 // can grep for them; the scaling check is skipped (with a note) on
 // machines with fewer than 4 hardware threads, where a 2x expectation is
 // physically meaningless.  Result multisets are asserted identical across
-// all lane counts before anything is timed.
+// all lane counts before anything is timed.  A per-layer split (scans,
+// build, probe, Γ) from the operators' own timing follows the table.
 //
 //   $ ./build/bench/e20_parallel_scaling               # full 1M-row run
 //   $ ./build/bench/e20_parallel_scaling --rows 50000  # CI smoke scale
@@ -29,6 +30,7 @@
 #include "mra/algebra/ops.h"
 #include "mra/exec/operator.h"
 #include "mra/expr/scalar_expr.h"
+#include "mra/obs/op_metrics.h"
 #include "mra/parallel/parallel_ops.h"
 
 namespace mra {
@@ -113,6 +115,28 @@ double SecondsToDrain(const std::function<exec::PhysOpPtr()>& make,
   return best;
 }
 
+/// One timed drain, split by layer from the operators' own metrics (wall
+/// time, each layer exclusive of the ones below it): both scans, the
+/// join's build and probe, and the group-by on top.
+void PrintLayerSplit(const Relation* left, const Relation* right,
+                     size_t workers) {
+  exec::PhysOpPtr root = BuildPipeline(left, right, workers);
+  {
+    obs::ScopedExecTiming timing(true);
+    Drain(*root);
+  }
+  const exec::PhysicalOperator& join = *root->children()[0];
+  const obs::OperatorMetrics& probe_scan = join.children()[0]->metrics();
+  const obs::OperatorMetrics& build_scan = join.children()[1]->metrics();
+  const obs::OperatorMetrics& j = join.metrics();
+  auto ms = [](double ns) { return ns / 1e6; };
+  Row("%-10zu %-10.1f %-10.1f %-10.1f %-10.1f", workers,
+      ms(probe_scan.total_ns() + build_scan.total_ns()),
+      ms(static_cast<double>(j.open_ns) - build_scan.total_ns()),
+      ms(static_cast<double>(j.next_ns) - probe_scan.total_ns()),
+      ms(static_cast<double>(root->metrics().total_ns()) - j.total_ns()));
+}
+
 void VerifyScaling(size_t rows) {
   Header("E20: morsel-driven parallel scaling",
          "Claim: the partitioned hash join + group-by pipeline at 1M rows "
@@ -157,6 +181,14 @@ void VerifyScaling(size_t rows) {
   if (overhead > 0.05) {
     Row("REGRESSION: 1-worker parallel operator costs %.1f%% over the "
         "serial kernel (budget: 5%%)", overhead * 100.0);
+  }
+
+  Row("");
+  Row("layer split, ms (workers 0 = serial kernels):");
+  Row("%-10s %-10s %-10s %-10s %-10s", "workers", "scans", "build",
+      "probe", "group-by");
+  for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
+    PrintLayerSplit(&jl, &jr, workers);
   }
 
   unsigned hw = std::thread::hardware_concurrency();

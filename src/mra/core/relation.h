@@ -23,6 +23,7 @@ class Relation {
  public:
   using Map = std::unordered_map<Tuple, uint64_t, TupleHash, TupleEq>;
   using const_iterator = Map::const_iterator;
+  using const_local_iterator = Map::const_local_iterator;
 
   Relation() = default;
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
@@ -69,6 +70,13 @@ class Relation {
   // Iteration over (tuple, multiplicity) pairs, unspecified order.
   const_iterator begin() const { return map_.begin(); }
   const_iterator end() const { return map_.end(); }
+
+  // Iteration by hash bucket: every tuple sits in exactly one bucket of
+  // [0, bucket_count()), so disjoint bucket ranges partition the support.
+  // Parallel scans hand such ranges out as morsels (docs/PARALLELISM.md).
+  size_t bucket_count() const { return map_.bucket_count(); }
+  const_local_iterator bucket_begin(size_t b) const { return map_.begin(b); }
+  const_local_iterator bucket_end(size_t b) const { return map_.end(b); }
 
   /// All tuples with duplicates materialised (Σ R(x) entries).  Intended for
   /// tests and small results; order is deterministic (sorted by display

@@ -35,11 +35,10 @@ void HashKeyIndex::Grow() {
 }
 
 size_t HashKeyIndex::InsertKey(const Tuple& row,
-                               const std::vector<size_t>& attrs,
+                               const std::vector<size_t>& attrs, size_t h,
                                bool* inserted) {
   // Grow at 70% load so linear probing stays short.
   if (slots_.empty() || (num_keys_ + 1) * 10 >= slots_.size() * 7) Grow();
-  size_t h = row.HashKey(attrs);
   size_t mask = slots_.size() - 1;
   size_t pos = h & mask;
   while (true) {
@@ -68,9 +67,9 @@ size_t HashKeyIndex::InsertKey(const Tuple& row,
 }
 
 size_t HashKeyIndex::FindKey(const Tuple& row,
-                             const std::vector<size_t>& attrs) const {
+                             const std::vector<size_t>& attrs,
+                             size_t h) const {
   if (slots_.empty() || num_keys_ == 0) return kNotFound;
-  size_t h = row.HashKey(attrs);
   size_t mask = slots_.size() - 1;
   size_t pos = h & mask;
   while (true) {
@@ -79,6 +78,37 @@ size_t HashKeyIndex::FindKey(const Tuple& row,
     if (hashes_[id] == h && row.KeyEquals(keys_[id], attrs)) return id;
     pos = (pos + 1) & mask;
   }
+}
+
+void HashKeyIndex::Absorb(HashKeyIndex& other, std::vector<size_t>* ids) {
+  if (ids != nullptr) ids->resize(other.num_keys_);
+  for (size_t o = 0; o < other.num_keys_; ++o) {
+    if (slots_.empty() || (num_keys_ + 1) * 10 >= slots_.size() * 7) Grow();
+    const size_t h = other.hashes_[o];
+    Tuple& key = other.keys_[o];
+    const size_t mask = slots_.size() - 1;
+    size_t pos = h & mask;
+    size_t id;
+    while (true) {
+      id = slots_[pos];
+      if (id == kEmpty) {
+        if (num_keys_ == keys_.size()) {
+          keys_.emplace_back();
+          hashes_.emplace_back();
+        }
+        keys_[num_keys_].Swap(key);
+        hashes_[num_keys_] = h;
+        key_bytes_ += ApproxTupleBytes(keys_[num_keys_]);
+        id = num_keys_++;
+        slots_[pos] = id;
+        break;
+      }
+      if (hashes_[id] == h && keys_[id].Equals(key)) break;
+      pos = (pos + 1) & mask;
+    }
+    if (ids != nullptr) (*ids)[o] = id;
+  }
+  other = HashKeyIndex();
 }
 
 size_t HashKeyIndex::ApproxBytes() const {

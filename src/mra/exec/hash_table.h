@@ -48,10 +48,35 @@ class HashKeyIndex {
   /// *inserted reports which happened.  Ids are assigned 0, 1, 2, … in
   /// first-occurrence order.
   size_t InsertKey(const Tuple& row, const std::vector<size_t>& attrs,
-                   bool* inserted);
+                   bool* inserted) {
+    return InsertKey(row, attrs, row.HashKey(attrs), inserted);
+  }
 
   /// Lookup without insertion: the id of π_attrs(row), or kNotFound.
-  size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs) const;
+  size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs) const {
+    return FindKey(row, attrs, row.HashKey(attrs));
+  }
+
+  /// The same with `hash` == row.HashKey(attrs) already computed (the
+  /// parallel kernels hash once for radix routing and reuse it here).
+  size_t InsertKey(const Tuple& row, const std::vector<size_t>& attrs,
+                   size_t hash, bool* inserted);
+  size_t FindKey(const Tuple& row, const std::vector<size_t>& attrs,
+                 size_t hash) const;
+
+  /// Moves every key of `other` into this index and leaves `other` empty;
+  /// with `ids` non-null, (*ids)[i] is the id here of other's key i.  New
+  /// keys get ids in order of i.  The stored hashes are reused and the key
+  /// tuples moved, so nothing is re-hashed, re-projected or copied — the
+  /// merge step of partitioned Γ and δ.
+  void Absorb(HashKeyIndex& other, std::vector<size_t>* ids);
+
+  /// Starts loading the slot a lookup of `hash` probes first, so a batch
+  /// of lookups can overlap their cache misses.
+  void Prefetch(size_t hash) const {
+    if (slots_.empty()) return;
+    __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
+  }
 
   /// The stored key tuple for a dense id in [0, size()).
   const Tuple& key(size_t id) const {

@@ -245,14 +245,7 @@ Result<std::optional<Row>> PhysicalOperator::Next() {
 Status PhysicalOperator::NextBatch(RowBatch& out) {
   MRA_CHECK(state_ == State::kOpen) << "NextBatch() before Open()";
   out.Clear();
-  if (exec_ctx_ != nullptr) {
-    // The cooperative governance check: one relaxed atomic load per batch
-    // when the query is ungoverned beyond cancellation, plus a clock read
-    // when a deadline is armed — which bounds a kill to one batch.
-    if (FpFired(CancelBatchFp())) exec_ctx_->RequestCancel();
-    Status g = exec_ctx_->Check();
-    if (!g.ok()) return g;
-  }
+  MRA_RETURN_IF_ERROR(CheckBatchBoundary(exec_ctx_));
   Status s;
   if (timing_) {
     uint64_t t0 = NowNs();
@@ -271,6 +264,15 @@ Status PhysicalOperator::NextBatch(RowBatch& out) {
     metrics_.weighted_rows += weighted;
   }
   return s;
+}
+
+Status CheckBatchBoundary(ExecContext* ctx) {
+  if (ctx == nullptr) return Status::OK();
+  // The cooperative governance check: one relaxed atomic load per batch
+  // when the query is ungoverned beyond cancellation, plus a clock read
+  // when a deadline is armed — which bounds a kill to one batch.
+  if (FpFired(CancelBatchFp())) ctx->RequestCancel();
+  return ctx->Check();
 }
 
 Status PhysicalOperator::NoteHashFootprint(uint64_t bytes) {
@@ -332,24 +334,29 @@ std::string RenderPlanWithMetrics(const PhysicalOperator& root) {
 Result<Relation> ExecuteToRelation(PhysicalOperator& op, size_t batch_size) {
   MRA_RETURN_IF_ERROR(op.Open());
   Relation out(op.schema());
-  if (batch_size == 0) {
-    // Legacy row-at-a-time drain.
-    while (true) {
-      MRA_ASSIGN_OR_RETURN(std::optional<Row> row, op.Next());
-      if (!row.has_value()) break;
-      out.InsertUnchecked(std::move(row->tuple), row->count);
+  auto drain = [&]() -> Status {
+    if (batch_size == 0) {
+      // Legacy row-at-a-time drain.
+      while (true) {
+        MRA_ASSIGN_OR_RETURN(std::optional<Row> row, op.Next());
+        if (!row.has_value()) return Status::OK();
+        out.InsertUnchecked(std::move(row->tuple), row->count);
+      }
     }
-  } else {
     RowBatch batch(batch_size);
     while (true) {
       MRA_RETURN_IF_ERROR(op.NextBatch(batch));
-      if (batch.empty()) break;
+      if (batch.empty()) return Status::OK();
       for (Row& row : batch) {
         out.InsertUnchecked(std::move(row.tuple), row.count);
       }
     }
-  }
+  };
+  // Close on every path: a kill mid-drain still returns the operators'
+  // budget charges and run files.
+  Status drained = drain();
   op.Close();
+  MRA_RETURN_IF_ERROR(drained);
   return out;
 }
 
@@ -421,12 +428,11 @@ const RelationSchema& ConstScanOp::schema() const {
 // --- FilterOp. ---
 
 FilterOp::FilterOp(ExprPtr condition, PhysOpPtr child)
-    : condition_(std::move(condition)), child_(std::move(child)) {}
+    : condition_(std::move(condition)),
+      child_(std::move(child)),
+      compiled_(CompiledPredicate::Compile(condition_, child_->schema())) {}
 
-Status FilterOp::OpenImpl() {
-  compiled_ = CompiledPredicate::Compile(condition_, child_->schema());
-  return child_->Open();
-}
+Status FilterOp::OpenImpl() { return child_->Open(); }
 
 Result<std::optional<Row>> FilterOp::NextImpl() {
   while (true) {
@@ -446,27 +452,32 @@ Status FilterOp::NextBatchImpl(RowBatch& out) {
   while (true) {
     MRA_RETURN_IF_ERROR(child_->NextBatch(out));
     if (out.empty()) return Status::OK();
-    size_t kept = 0;
-    if (compiled_.has_value()) {
-      for (size_t i = 0; i < out.size(); ++i) {
-        if (compiled_->Matches(out[i].tuple)) {
-          if (kept != i) std::swap(out[kept], out[i]);
-          ++kept;
-        }
-      }
-    } else {
-      for (size_t i = 0; i < out.size(); ++i) {
-        MRA_ASSIGN_OR_RETURN(bool keep,
-                             EvalPredicate(*condition_, out[i].tuple));
-        if (keep) {
-          if (kept != i) std::swap(out[kept], out[i]);
-          ++kept;
-        }
+    MRA_RETURN_IF_ERROR(FilterInPlace(out));
+    if (!out.empty()) return Status::OK();
+  }
+}
+
+Status FilterOp::FilterInPlace(RowBatch& batch) const {
+  size_t kept = 0;
+  if (compiled_.has_value()) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (compiled_->Matches(batch[i].tuple)) {
+        if (kept != i) std::swap(batch[kept], batch[i]);
+        ++kept;
       }
     }
-    out.Truncate(kept);
-    if (kept > 0) return Status::OK();
+  } else {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      MRA_ASSIGN_OR_RETURN(bool keep,
+                           EvalPredicate(*condition_, batch[i].tuple));
+      if (keep) {
+        if (kept != i) std::swap(batch[kept], batch[i]);
+        ++kept;
+      }
+    }
   }
+  batch.Truncate(kept);
+  return Status::OK();
 }
 
 void FilterOp::CloseImpl() { child_->Close(); }
@@ -477,12 +488,10 @@ ComputeOp::ComputeOp(std::vector<ExprPtr> exprs, RelationSchema output_schema,
                      PhysOpPtr child)
     : exprs_(std::move(exprs)),
       schema_(std::move(output_schema)),
-      child_(std::move(child)) {}
+      child_(std::move(child)),
+      attr_only_(AttrOnlyProjection(exprs_, child_->schema().arity())) {}
 
-Status ComputeOp::OpenImpl() {
-  attr_only_ = AttrOnlyProjection(exprs_, child_->schema().arity());
-  return child_->Open();
-}
+Status ComputeOp::OpenImpl() { return child_->Open(); }
 
 Result<std::optional<Row>> ComputeOp::NextImpl() {
   MRA_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
@@ -495,17 +504,21 @@ Status ComputeOp::NextBatchImpl(RowBatch& out) {
   // In-place: the child fills `out` and each row's tuple is rewritten
   // where it sits (multiplicities pass through unchanged).
   MRA_RETURN_IF_ERROR(child_->NextBatch(out));
+  return ProjectInPlace(out, scratch_);
+}
+
+Status ComputeOp::ProjectInPlace(RowBatch& batch, Tuple& scratch) const {
   if (attr_only_.has_value()) {
     // Project into the recycled scratch tuple, then swap it in: the row's
     // old buffer becomes the next scratch, so the loop is allocation-free
     // once warm.
-    for (Row& row : out) {
-      scratch_.AssignProjection(row.tuple, *attr_only_);
-      row.tuple.Swap(scratch_);
+    for (Row& row : batch) {
+      scratch.AssignProjection(row.tuple, *attr_only_);
+      row.tuple.Swap(scratch);
     }
     return Status::OK();
   }
-  for (Row& row : out) {
+  for (Row& row : batch) {
     MRA_ASSIGN_OR_RETURN(Tuple projected, ProjectTuple(exprs_, row.tuple));
     row.tuple = std::move(projected);
   }

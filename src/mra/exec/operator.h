@@ -155,6 +155,13 @@ class PhysicalOperator {
   /// hash/distinct figures are recorded by CloseImpl before freeing).
   const obs::OperatorMetrics& metrics() const { return metrics_; }
 
+  /// Lane pipelines (mra/parallel/pipeline.h) run scan, filter, projection
+  /// and hash-probe kernels inside a breaker's lanes without going through
+  /// Open/NextBatch; they fold the merged per-lane counts and stage times
+  /// in here so EXPLAIN ANALYZE and the stats trailer still see every
+  /// operator.
+  obs::OperatorMetrics& mutable_metrics() { return metrics_; }
+
   /// Planner's cardinality estimate (multiplicity-weighted), < 0 when the
   /// plan was lowered without an estimator.
   double estimated_rows() const { return estimated_rows_; }
@@ -235,6 +242,11 @@ class PhysicalOperator {
 
 using PhysOpPtr = std::unique_ptr<PhysicalOperator>;
 
+/// The governance check every batch boundary makes: the exec.cancel.batch
+/// failpoint, then ExecContext::Check().  NextBatch runs it per pull and
+/// each lane of a pipeline per morsel.  OK when `ctx` is null.
+Status CheckBatchBoundary(ExecContext* ctx);
+
 /// Drains `op` (Open/NextBatch*/Close) into a materialised relation,
 /// pulling `batch_size` rows per call; batch_size 0 selects the legacy
 /// row-at-a-time Next() loop (kept for differential testing and the
@@ -256,6 +268,7 @@ class ScanOp final : public PhysicalOperator {
 
   const RelationSchema& schema() const override;
   std::string_view name() const override { return "Scan"; }
+  const Relation& relation() const { return *relation_; }
 
  protected:
   Status OpenImpl() override;
@@ -275,6 +288,7 @@ class ConstScanOp final : public PhysicalOperator {
 
   const RelationSchema& schema() const override;
   std::string_view name() const override { return "ConstScan"; }
+  const Relation& relation() const { return relation_; }
 
  protected:
   Status OpenImpl() override;
@@ -300,6 +314,10 @@ class FilterOp final : public PhysicalOperator {
     return {child_.get()};
   }
 
+  /// The batch kernel: compacts `batch` in place to the rows satisfying
+  /// the condition.  Const and thread-safe, so lane pipelines share it.
+  Status FilterInPlace(RowBatch& batch) const;
+
  protected:
   Status OpenImpl() override;
   Result<std::optional<Row>> NextImpl() override;
@@ -309,7 +327,7 @@ class FilterOp final : public PhysicalOperator {
  private:
   ExprPtr condition_;
   PhysOpPtr child_;
-  /// Compiled once per Open when the condition fits the fast path.
+  /// Compiled at construction when the condition fits the fast path.
   std::optional<CompiledPredicate> compiled_;
 };
 
@@ -325,6 +343,11 @@ class ComputeOp final : public PhysicalOperator {
     return {child_.get()};
   }
 
+  /// The batch kernel: rewrites every row's tuple in place (multiplicities
+  /// pass through); `scratch` is the caller's recycled projection buffer.
+  /// Const and thread-safe, so lane pipelines share it.
+  Status ProjectInPlace(RowBatch& batch, Tuple& scratch) const;
+
  protected:
   Status OpenImpl() override;
   Result<std::optional<Row>> NextImpl() override;
@@ -336,7 +359,7 @@ class ComputeOp final : public PhysicalOperator {
   RelationSchema schema_;
   PhysOpPtr child_;
   /// Attribute indexes when every expression is a plain %i reference
-  /// (resolved once per Open): projection becomes a storage-recycling
+  /// (resolved at construction): projection becomes a storage-recycling
   /// in-place rewrite through `scratch_`.
   std::optional<std::vector<size_t>> attr_only_;
   Tuple scratch_;

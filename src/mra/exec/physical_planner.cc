@@ -1,5 +1,6 @@
 #include "mra/exec/physical_planner.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -78,6 +79,18 @@ size_t ParallelLanes(const PlanPtr& plan, const LowerContext& ctx) {
   return e.workers;
 }
 
+/// True when `op` streams a parallel join's output through filters and
+/// projections only.  A breaker above it then runs parallel too, even when
+/// its own estimated input is small (a selective join), so the probe runs
+/// in the breaker's lanes instead of on the thread pulling the join.
+bool FeedsFromParallelJoin(const PhysicalOperator* op) {
+  while (dynamic_cast<const FilterOp*>(op) != nullptr ||
+         dynamic_cast<const ComputeOp*>(op) != nullptr) {
+    op = op->children()[0];
+  }
+  return dynamic_cast<const parallel::ParallelHashJoinOp*>(op) != nullptr;
+}
+
 void CountReusableSubtrees(const PlanPtr& plan,
                            std::unordered_map<std::string, int>* counts) {
   if (ReusableKind(plan->kind())) ++(*counts)[plan->ToInlineString()];
@@ -115,6 +128,7 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
     case PlanKind::kUnique: {
       size_t lanes = ParallelLanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
+      if (FeedsFromParallelJoin(child.get())) lanes = ctx.config.exec.workers;
       if (!ctx.config.exec.hash_ops) {
         PhysOpPtr op(std::make_unique<SortDedupOp>(std::move(child)));
         op->set_annotation(AnnotationText("fallback", "hash ops disabled"));
@@ -157,6 +171,9 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       size_t lanes = ParallelLanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr l, LowerPlanImpl(plan->child(0), ctx));
       MRA_ASSIGN_OR_RETURN(PhysOpPtr r, LowerPlanImpl(plan->child(1), ctx));
+      if (FeedsFromParallelJoin(l.get()) || FeedsFromParallelJoin(r.get())) {
+        lanes = ctx.config.exec.workers;
+      }
       std::vector<size_t> left_keys, right_keys;
       ExprPtr residual;
       size_t left_arity = plan->child(0)->schema().arity();
@@ -203,6 +220,7 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
     case PlanKind::kGroupBy: {
       size_t lanes = ParallelLanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
+      if (FeedsFromParallelJoin(child.get())) lanes = ctx.config.exec.workers;
       if (lanes > 0) {
         PhysOpPtr op(std::make_unique<parallel::ParallelHashGroupByOp>(
             plan->group_keys(), plan->aggregates(), plan->schema(),
@@ -220,7 +238,9 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       return PhysOpPtr(std::make_unique<ClosureOp>(std::move(child)));
     }
     case PlanKind::kSort: {
+      size_t lanes = ParallelLanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
+      if (FeedsFromParallelJoin(child.get())) lanes = ctx.config.exec.workers;
       const std::vector<size_t>& keys = plan->sort_keys();
       const std::vector<bool>& desc = plan->sort_desc();
       std::string detail;
@@ -232,9 +252,13 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       if (plan->sort_limit() > 0) {
         detail += " limit " + std::to_string(plan->sort_limit());
       }
+      if (lanes > 0) {
+        detail += "; parallel: " + std::to_string(lanes) + " lanes";
+      }
       PhysOpPtr op(std::make_unique<SortOp>(
           keys, desc, plan->sort_limit(), ctx.config.exec.sort_spill_bytes,
-          std::move(child)));
+          std::move(child), std::max<size_t>(lanes, 1),
+          ctx.config.exec.morsel_size));
       op->set_annotation(AnnotationText("order", detail));
       return op;
     }

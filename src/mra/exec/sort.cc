@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -81,6 +82,7 @@ std::string NextRunPath() {
 struct SortOp::RunReader {
   std::ifstream in;
   std::string path;
+  std::string payload;  // Reused by every entry.
   Row current;
   bool done = false;
 
@@ -97,7 +99,7 @@ struct SortOp::RunReader {
     }
     storage::Decoder len_dec(std::string_view(len_buf, sizeof(len_buf)));
     MRA_ASSIGN_OR_RETURN(uint32_t len, len_dec.GetU32());
-    std::string payload(len, '\0');
+    payload.resize(len);
     in.read(payload.data(), len);
     if (static_cast<uint32_t>(in.gcount()) != len) {
       return Status::Corruption("torn entry payload in sort run " + path);
@@ -110,14 +112,21 @@ struct SortOp::RunReader {
 };
 
 SortOp::SortOp(std::vector<size_t> keys, std::vector<bool> desc,
-               uint64_t limit, uint64_t spill_bytes, PhysOpPtr child)
+               uint64_t limit, uint64_t spill_bytes, PhysOpPtr child,
+               size_t workers, size_t morsel_size)
     : keys_(std::move(keys)),
       desc_(std::move(desc)),
       limit_(limit),
       spill_bytes_(spill_bytes),
-      child_(std::move(child)) {}
+      child_(std::move(child)),
+      workers_(workers),
+      input_(child_.get(), morsel_size, /*fuse=*/workers > 1) {}
 
 SortOp::~SortOp() { RemoveRunFiles(); }
+
+bool SortOp::SortsBefore(const Row& a, const Row& b) const {
+  return ops::CompareForSort(a.tuple, b.tuple, keys_, desc_) < 0;
+}
 
 Status SortOp::OpenImpl() {
   if (!base_annotation_captured_) {
@@ -131,8 +140,6 @@ Status SortOp::OpenImpl() {
 
 Status SortOp::OpenInner() {
   buffer_.clear();
-  buffer_bytes_ = 0;
-  buffer_weight_ = 0;
   pos_ = 0;
   emitted_weight_ = 0;
   merging_ = false;
@@ -150,49 +157,64 @@ Status SortOp::OpenInner() {
     threshold = std::min(threshold, exec_context()->mem_budget() / 2);
   }
 
-  auto by_sort_order = [this](const Row& a, const Row& b) {
-    return ops::CompareForSort(a.tuple, b.tuple, keys_, desc_) < 0;
-  };
-
-  MRA_RETURN_IF_ERROR(child_->Open());
-  RowBatch batch;
-  while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(batch));
-    if (batch.empty()) break;
+  MRA_RETURN_IF_ERROR(input_.Open(exec_context()));
+  parallel::WorkerPool::Lease lease = parallel::WorkerPool::Global().Admit(
+      input_.parallel() ? workers_ : 1);
+  const size_t lanes = lease.lanes();
+  // Each lane's share of the threshold, so the lanes together buffer no
+  // more than a one-lane sort would.
+  const uint64_t lane_threshold =
+      threshold == UINT64_MAX ? threshold
+                              : std::max<uint64_t>(1, threshold / lanes);
+  lane_buffers_ = std::vector<LaneBuffer>(lanes);
+  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
+  Status ran = input_.Run(lease, [&](size_t lane, RowBatch& batch) -> Status {
+    LaneBuffer& buf = lane_buffers_[lane];
     for (Row& row : batch) {
-      buffer_bytes_ += ApproxRowBytes(row);
-      buffer_weight_ += row.count;
-      buffer_.push_back(std::move(row));
-      if (limit_ > 0) {
-        std::push_heap(buffer_.begin(), buffer_.end(), by_sort_order);
-        PruneTopK();
-      }
-      // Spill the moment the run crosses the threshold — checked per row,
-      // not per batch, so a single large batch cannot overshoot an armed
-      // budget before the spill gets a chance to shed it.
-      if (buffer_bytes_ >= threshold) {
-        MRA_RETURN_IF_ERROR(SpillRun());
-      }
+      MRA_RETURN_IF_ERROR(Add(buf, row, lane_threshold));
     }
     // Budget check per input batch: a runaway non-spilling sort input is
-    // caught while it grows.
-    MRA_RETURN_IF_ERROR(ChargeMemTo(buffer_bytes_));
+    // caught while it grows.  Lane 0 is the query thread.
+    lane_bytes[lane].store(buf.bytes, std::memory_order_relaxed);
+    if (lane != 0) return Status::OK();
+    uint64_t total = 0;
+    for (const auto& b : lane_bytes) total += b.load(std::memory_order_relaxed);
+    return ChargeMemTo(total);
+  });
+  input_.Close();
+  MRA_RETURN_IF_ERROR(ran);
+  if (workers_ > 1) {
+    metrics_.workers = static_cast<uint32_t>(lanes);
+    metrics_.cpu_ns += input_.sink_ns();
   }
-  child_->Close();
 
   if (run_files_.empty()) {
-    // In-memory fast path: one sort, emission walks the buffer.
-    std::sort(buffer_.begin(), buffer_.end(), by_sort_order);
+    // In-memory fast path: one sort of every lane's buffer, emission walks
+    // the result.  For Top-K the lane heaps hold the global top `limit_`
+    // weight between them and EmitNext cuts the sorted union.
+    for (LaneBuffer& buf : lane_buffers_) {
+      if (buffer_.empty()) {
+        buffer_ = std::move(buf.rows);
+      } else {
+        std::move(buf.rows.begin(), buf.rows.end(),
+                  std::back_inserter(buffer_));
+      }
+    }
+    lane_buffers_.clear();
+    std::sort(buffer_.begin(), buffer_.end(),
+              [this](const Row& a, const Row& b) { return SortsBefore(a, b); });
     return Status::OK();
   }
 
-  // Something spilled: push the tail buffer out too and merge purely from
+  // Something spilled: push the tail buffers out too and merge purely from
   // files, so emission order never depends on which rows happened to stay
   // resident.
-  if (!buffer_.empty()) {
-    MRA_RETURN_IF_ERROR(SpillRun());
-    MRA_RETURN_IF_ERROR(ChargeMemTo(buffer_bytes_));
+  for (LaneBuffer& buf : lane_buffers_) {
+    if (!buf.rows.empty()) MRA_RETURN_IF_ERROR(SpillRun(buf));
   }
+  lane_buffers_.clear();
+  MRA_RETURN_IF_ERROR(ChargeMemTo(0));
+  spilled_runs_ = run_files_.size();
   MRA_RETURN_IF_ERROR(StartMerge());
   std::string note =
       AnnotationText("spill", std::to_string(run_files_.size()) + " runs");
@@ -201,46 +223,73 @@ Status SortOp::OpenInner() {
   return Status::OK();
 }
 
+Status SortOp::Add(LaneBuffer& lane, Row& row, uint64_t threshold) {
+  if (limit_ > 0) {
+    // Top-K admission: once the heap carries `limit_` weight, a row that
+    // orders at or after its worst entry can never reach the top — drop
+    // it without touching the heap.
+    if (lane.weight >= limit_ && !SortsBefore(row, lane.rows.front())) {
+      return Status::OK();
+    }
+    lane.bytes += ApproxRowBytes(row);
+    lane.weight += row.count;
+    lane.rows.push_back(std::move(row));
+    std::push_heap(lane.rows.begin(), lane.rows.end(),
+                   [this](const Row& a, const Row& b) {
+                     return SortsBefore(a, b);
+                   });
+    PruneTopK(lane);
+  } else {
+    lane.bytes += ApproxRowBytes(row);
+    lane.weight += row.count;
+    lane.rows.push_back(std::move(row));
+  }
+  // Spill the moment the run crosses the threshold — checked per row, not
+  // per batch, so a single large batch cannot overshoot an armed budget
+  // before the spill gets a chance to shed it.
+  return lane.bytes >= threshold ? SpillRun(lane) : Status::OK();
+}
+
 void SortOp::AbortOpen() {
   // A failed Open leaves the operator Closed without a CloseImpl call, so
   // reclaim everything here: the wrapper only releases budget charges.
-  child_->Close();
+  input_.Close();
+  lane_buffers_.clear();
   buffer_.clear();
-  buffer_bytes_ = 0;
-  buffer_weight_ = 0;
   readers_.clear();
   merge_heap_.clear();
   merging_ = false;
   RemoveRunFiles();
 }
 
-void SortOp::PruneTopK() {
-  // buffer_ is a max-heap under the sort order: the front is the worst
+void SortOp::PruneTopK(LaneBuffer& lane) {
+  // lane.rows is a max-heap under the sort order: the front is the worst
   // entry.  While the rest of the heap already carries `limit_` weight,
   // every remaining row orders at-or-before the front, so the front can
   // never reach the top `limit_` — drop it.
   auto by_sort_order = [this](const Row& a, const Row& b) {
-    return ops::CompareForSort(a.tuple, b.tuple, keys_, desc_) < 0;
+    return SortsBefore(a, b);
   };
-  while (!buffer_.empty() &&
-         buffer_weight_ - buffer_.front().count >= limit_) {
-    std::pop_heap(buffer_.begin(), buffer_.end(), by_sort_order);
-    buffer_weight_ -= buffer_.back().count;
-    buffer_bytes_ -= std::min(buffer_bytes_, ApproxRowBytes(buffer_.back()));
-    buffer_.pop_back();
+  while (!lane.rows.empty() &&
+         lane.weight - lane.rows.front().count >= limit_) {
+    std::pop_heap(lane.rows.begin(), lane.rows.end(), by_sort_order);
+    lane.weight -= lane.rows.back().count;
+    lane.bytes -= std::min(lane.bytes, ApproxRowBytes(lane.rows.back()));
+    lane.rows.pop_back();
   }
 }
 
-Status SortOp::SpillRun() {
-  auto by_sort_order = [this](const Row& a, const Row& b) {
-    return ops::CompareForSort(a.tuple, b.tuple, keys_, desc_) < 0;
-  };
-  std::sort(buffer_.begin(), buffer_.end(), by_sort_order);
+Status SortOp::SpillRun(LaneBuffer& lane) {
+  std::sort(lane.rows.begin(), lane.rows.end(),
+            [this](const Row& a, const Row& b) { return SortsBefore(a, b); });
 
   std::string final_path = NextRunPath();
   std::string tmp_path = final_path + ".tmp";
-  // Record before writing so every abort path sees the file.
-  run_files_.push_back(final_path);
+  {
+    // Record before writing so every abort path sees the file.
+    std::lock_guard<std::mutex> lock(runs_mu_);
+    run_files_.push_back(final_path);
+  }
 
   MRA_RETURN_IF_ERROR(fault::InjectIfArmed(SpillWriteFp()));
   uint64_t written = 0;
@@ -249,18 +298,26 @@ Status SortOp::SpillRun() {
     if (!out) {
       return Status::IoError("cannot create sort run " + tmp_path);
     }
-    for (const Row& row : buffer_) {
-      storage::Encoder payload;
-      payload.PutTuple(row.tuple);
-      payload.PutU64(row.count);
-      storage::Encoder header;
-      header.PutU32(static_cast<uint32_t>(payload.buffer().size()));
-      out.write(header.buffer().data(),
-                static_cast<std::streamsize>(header.buffer().size()));
-      out.write(payload.buffer().data(),
-                static_cast<std::streamsize>(payload.buffer().size()));
-      written += header.buffer().size() + payload.buffer().size();
+    // Entries are `length(u32) ++ tuple ++ count`, encoded back to back
+    // into the lane's reused encoder and written in ~64 KiB chunks.
+    constexpr size_t kChunkBytes = 64 * 1024;
+    storage::Encoder& enc = lane.encoder;
+    auto write_chunk = [&] {
+      out.write(enc.buffer().data(),
+                static_cast<std::streamsize>(enc.size()));
+      written += enc.size();
+      enc.Clear();
+    };
+    enc.Clear();
+    for (const Row& row : lane.rows) {
+      size_t header = enc.size();
+      enc.PutU32(0);
+      enc.PutTuple(row.tuple);
+      enc.PutU64(row.count);
+      enc.PatchU32(header, static_cast<uint32_t>(enc.size() - header - 4));
+      if (enc.size() >= kChunkBytes) write_chunk();
     }
+    write_chunk();
     out.flush();
     if (!out) {
       return Status::IoError("short write to sort run " + tmp_path);
@@ -275,11 +332,10 @@ Status SortOp::SpillRun() {
   }
   SpillRunsCounter()->Inc();
   SpillBytesCounter()->Inc(written);
-  ++spilled_runs_;
 
-  buffer_.clear();
-  buffer_bytes_ = 0;
-  buffer_weight_ = 0;
+  lane.rows.clear();
+  lane.bytes = 0;
+  lane.weight = 0;
   return Status::OK();
 }
 
@@ -312,51 +368,59 @@ Status SortOp::StartMerge() {
   return Status::OK();
 }
 
-std::optional<Row> SortOp::ClampEmit(Row row) {
-  if (limit_ == 0) return std::optional<Row>(std::move(row));
-  if (emitted_weight_ >= limit_) return std::nullopt;
-  row.count = std::min<uint64_t>(row.count, limit_ - emitted_weight_);
-  emitted_weight_ += row.count;
-  return std::optional<Row>(std::move(row));
+Result<bool> SortOp::EmitNext(Row& slot) {
+  if (limit_ > 0 && emitted_weight_ >= limit_) return false;
+  if (!merging_) {
+    if (pos_ >= buffer_.size()) return false;
+    slot.tuple.Swap(buffer_[pos_].tuple);
+    slot.count = buffer_[pos_++].count;
+  } else {
+    if (merge_heap_.empty()) return false;
+    auto heap_after = [this](size_t a, size_t b) {
+      int c = ops::CompareForSort(readers_[a]->current.tuple,
+                                  readers_[b]->current.tuple, keys_, desc_);
+      if (c != 0) return c > 0;
+      return a > b;
+    };
+    std::pop_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
+    RunReader& reader = *readers_[merge_heap_.back()];
+    slot.tuple.Swap(reader.current.tuple);
+    slot.count = reader.current.count;
+    MRA_RETURN_IF_ERROR(reader.Advance());
+    if (reader.done) {
+      merge_heap_.pop_back();
+    } else {
+      std::push_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
+    }
+  }
+  if (limit_ > 0) {
+    slot.count = std::min<uint64_t>(slot.count, limit_ - emitted_weight_);
+    emitted_weight_ += slot.count;
+  }
+  return true;
 }
 
 Result<std::optional<Row>> SortOp::NextImpl() {
-  if (!merging_) {
-    if (pos_ >= buffer_.size()) return std::optional<Row>();
-    std::optional<Row> out = ClampEmit(std::move(buffer_[pos_]));
-    if (!out.has_value()) return std::optional<Row>();
-    ++pos_;
-    return out;
-  }
+  Row row;
+  MRA_ASSIGN_OR_RETURN(bool emitted, EmitNext(row));
+  if (!emitted) return std::optional<Row>();
+  return std::optional<Row>(std::move(row));
+}
 
-  auto heap_after = [this](size_t a, size_t b) {
-    int c = ops::CompareForSort(readers_[a]->current.tuple,
-                                readers_[b]->current.tuple, keys_, desc_);
-    if (c != 0) return c > 0;
-    return a > b;
-  };
-  while (!merge_heap_.empty()) {
-    std::pop_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
-    size_t idx = merge_heap_.back();
-    merge_heap_.pop_back();
-    Row row = std::move(readers_[idx]->current);
-    MRA_RETURN_IF_ERROR(readers_[idx]->Advance());
-    if (!readers_[idx]->done) {
-      merge_heap_.push_back(idx);
-      std::push_heap(merge_heap_.begin(), merge_heap_.end(), heap_after);
+Status SortOp::NextBatchImpl(RowBatch& out) {
+  while (!out.full()) {
+    MRA_ASSIGN_OR_RETURN(bool emitted, EmitNext(out.AppendSlot()));
+    if (!emitted) {
+      out.Truncate(out.size() - 1);
+      break;
     }
-    std::optional<Row> out = ClampEmit(std::move(row));
-    if (!out.has_value()) return std::optional<Row>();  // LIMIT exhausted.
-    return Result<std::optional<Row>>(std::move(out));
   }
-  return std::optional<Row>();
+  return Status::OK();
 }
 
 void SortOp::CloseImpl() {
-  child_->Close();
+  input_.Close();
   buffer_.clear();
-  buffer_bytes_ = 0;
-  buffer_weight_ = 0;
   pos_ = 0;
   readers_.clear();
   merge_heap_.clear();

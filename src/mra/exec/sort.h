@@ -15,6 +15,14 @@
 // force a spill, and per-run pruning stays sound because a tuple outside
 // one run's top-k cannot enter the global top-k.
 //
+// With workers > 1 the sort is a pipeline breaker (mra/parallel/
+// pipeline.h): each lane of the input pipeline fills its own buffer (a
+// Top-K heap or a run buffer with the spill threshold split across the
+// lanes, so sort memory does not grow with the lane count).  The lane
+// buffers meet only at the finish — one sort of the concatenated buffers
+// (for Top-K: of the lanes' heaps, whose union holds the global top-k), or
+// the k-way merge over every lane's runs.
+//
 // SortMergeJoinOp is the planner's second equi-join strategy: both inputs
 // run through internal SortOps on the join keys (inheriting the spill
 // machinery and the ExecContext wiring through children()), then a single
@@ -26,12 +34,15 @@
 #define MRA_EXEC_SORT_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "mra/exec/operator.h"
 #include "mra/expr/scalar_expr.h"
+#include "mra/parallel/pipeline.h"
+#include "mra/storage/serializer.h"
 
 namespace mra {
 namespace exec {
@@ -42,8 +53,10 @@ class SortOp final : public PhysicalOperator {
   /// `keys`/`desc` index the child schema; `limit` 0 means full sort.
   /// `spill_bytes` is ExecConfig::exec.sort_spill_bytes (0 = no fixed run
   /// cap; the budget-derived cap still applies when a budget is armed).
+  /// `workers` > 1 runs the input as a lane pipeline of that many lanes.
   SortOp(std::vector<size_t> keys, std::vector<bool> desc, uint64_t limit,
-         uint64_t spill_bytes, PhysOpPtr child);
+         uint64_t spill_bytes, PhysOpPtr child, size_t workers = 1,
+         size_t morsel_size = 0);
   ~SortOp() override;
 
   const RelationSchema& schema() const override { return child_->schema(); }
@@ -61,10 +74,20 @@ class SortOp final : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
   struct RunReader;
+
+  /// One lane's buffer: plain rows for a full sort, a max-heap (worst
+  /// entry at the front) while a LIMIT is pruning.
+  struct LaneBuffer {
+    std::vector<Row> rows;
+    uint64_t bytes = 0;
+    uint64_t weight = 0;  // Multiplicity-weighted size of `rows`.
+    storage::Encoder encoder;  // Reused by every run this lane spills.
+  };
 
   /// The whole Open body; OpenImpl wraps it so every failure path (child
   /// error, injected spill fault, budget trip) funnels through AbortOpen —
@@ -73,39 +96,46 @@ class SortOp final : public PhysicalOperator {
   Status OpenInner();
   void AbortOpen();
 
-  /// Sorts buffer_ and writes it as one length-prefixed run file
+  /// Buffers one input row in `lane`, spilling once the buffer reaches
+  /// `threshold` bytes.
+  Status Add(LaneBuffer& lane, Row& row, uint64_t threshold);
+
+  /// Sorts the lane's rows and writes them as one length-prefixed run file
   /// (run.tmp, fsync-free write, then rename); clears the buffer.
-  Status SpillRun();
+  Status SpillRun(LaneBuffer& lane);
 
   /// Weighted Top-K pruning: pops heap entries that provably cannot reach
   /// the top `limit_` multiplicity-weight.
-  void PruneTopK();
+  void PruneTopK(LaneBuffer& lane);
+
+  bool SortsBefore(const Row& a, const Row& b) const;
 
   /// Initialises the k-way merge over run_files_ (readers + min-heap).
   Status StartMerge();
 
   void RemoveRunFiles();
 
-  /// Clamps `row` against the remaining LIMIT weight; nullopt when the
-  /// limit is exhausted.
-  std::optional<Row> ClampEmit(Row row);
+  /// Moves the next row in order into `slot` (swapping storage), clamped
+  /// against the remaining LIMIT weight; false at end of stream or once
+  /// the limit is exhausted.
+  Result<bool> EmitNext(Row& slot);
 
   std::vector<size_t> keys_;
   std::vector<bool> desc_;
   uint64_t limit_;
   uint64_t spill_bytes_;
   PhysOpPtr child_;
+  size_t workers_;
+  parallel::Pipeline input_;
 
-  // In-memory buffer: plain rows for a full sort, a max-heap (worst entry
-  // at the front) while a LIMIT is pruning.
-  std::vector<Row> buffer_;
-  uint64_t buffer_bytes_ = 0;
-  uint64_t buffer_weight_ = 0;  // Multiplicity-weighted size of buffer_.
-  size_t pos_ = 0;              // In-memory emission cursor.
+  std::vector<LaneBuffer> lane_buffers_;  // Open-time only.
+  std::vector<Row> buffer_;               // Sorted in-memory result.
+  size_t pos_ = 0;                        // In-memory emission cursor.
   uint64_t emitted_weight_ = 0;
 
-  // Spill state.
+  // Spill state; lanes append their runs under runs_mu_.
   size_t spilled_runs_ = 0;  // Runs written by the last Open; survives Close.
+  std::mutex runs_mu_;
   std::vector<std::string> run_files_;
   std::vector<std::unique_ptr<RunReader>> readers_;
   std::vector<size_t> merge_heap_;  // Reader indexes, min-heap on current.

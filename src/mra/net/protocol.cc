@@ -275,7 +275,9 @@ void EncodeRelations(storage::Encoder& enc,
 }
 
 Result<std::vector<Relation>> DecodeRelations(storage::Decoder& dec) {
-  MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+  // A relation is at least a schema (name and arity prefixes) and the
+  // end-of-relation terminator.
+  MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetCount(4 + 4 + 4));
   if (n > kMaxRelationsPerResultSet) {
     return Status::Corruption("implausible ResultSet cardinality");
   }
@@ -287,8 +289,9 @@ Result<std::vector<Relation>> DecodeRelations(storage::Decoder& dec) {
     while (true) {
       MRA_ASSIGN_OR_RETURN(uint32_t k, dec.GetU32());
       if (k == 0) break;
-      // A corrupt, huge k fails fast at the first short GetTuple — every
-      // row costs at least one byte, so no allocation happens up front.
+      // Rows insert one at a time and nothing is sized by k, so a corrupt,
+      // huge k fails at the first short GetTuple (which bounds its own
+      // arity by the bytes left) instead of allocating.
       for (uint32_t j = 0; j < k; ++j) {
         MRA_ASSIGN_OR_RETURN(Tuple t, dec.GetTuple());
         MRA_ASSIGN_OR_RETURN(uint64_t count, dec.GetU64());
@@ -340,7 +343,8 @@ Result<WireQueryStats> DecodeWireQueryStats(storage::Decoder& dec) {
   MRA_ASSIGN_OR_RETURN(s.optimize_us, dec.GetU64());
   MRA_ASSIGN_OR_RETURN(s.lower_us, dec.GetU64());
   MRA_ASSIGN_OR_RETURN(s.exec_us, dec.GetU64());
-  MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+  // name + depth + estimate + nine u64 counters.
+  MRA_ASSIGN_OR_RETURN(uint32_t n, dec.GetCount(4 + 4 + 8 + 9 * 8));
   if (n > kMaxWireOperators) {
     return Status::Corruption("implausible operator count in stats trailer");
   }
@@ -510,7 +514,8 @@ Result<ServerStatsReply> DecodeServerStatsReply(std::string_view payload) {
     }
     out.query_latency.buckets[index] = count;
   }
-  MRA_ASSIGN_OR_RETURN(uint32_t n_sessions, dec.GetU32());
+  // id + peer + query + busy flag + three u64 gauges.
+  MRA_ASSIGN_OR_RETURN(uint32_t n_sessions, dec.GetCount(8 + 4 + 4 + 1 + 24));
   if (n_sessions > kMaxSessions) {
     return Status::Corruption("implausible session count");
   }
@@ -528,7 +533,7 @@ Result<ServerStatsReply> DecodeServerStatsReply(std::string_view payload) {
     MRA_ASSIGN_OR_RETURN(s.idle_ms, dec.GetU64());
     out.sessions.push_back(std::move(s));
   }
-  MRA_ASSIGN_OR_RETURN(uint32_t n_lines, dec.GetU32());
+  MRA_ASSIGN_OR_RETURN(uint32_t n_lines, dec.GetCount(4));
   if (n_lines > kMaxSlowLogLines) {
     return Status::Corruption("implausible slow-log line count");
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 
 #include "mra/expr/eval.h"
 
@@ -13,11 +12,8 @@ namespace {
 
 using exec::ExecContext;
 using exec::HashKeyIndex;
-using exec::PhysicalOperator;
 using exec::Row;
 using exec::RowBatch;
-
-constexpr size_t kNone = static_cast<size_t>(-1);
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -32,6 +28,19 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
+/// Radix partitions for a lease: one on a single lane (no routing), else a
+/// few per lane so the dynamic claim evens out skewed key distributions.
+size_t PartitionsFor(size_t lanes) {
+  return lanes == 1 ? 1 : NextPow2(4 * lanes);
+}
+
+/// The partition of a key hash.  High bits: HashKeyIndex places keys by
+/// the low bits, and routing on those would leave each partition's index
+/// using only 1/P of its home slots.
+size_t RadixOf(size_t hash, size_t parts) {
+  return (hash >> 48) & (parts - 1);
+}
+
 // Same coarse budget estimate the serial materialising operators use.
 uint64_t ApproxRowBytes(const Row& row) {
   uint64_t bytes = sizeof(Row) + row.tuple.arity() * sizeof(Value);
@@ -41,70 +50,55 @@ uint64_t ApproxRowBytes(const Row& row) {
   return bytes;
 }
 
-/// The shared child cursor: each Pull hands the calling lane one morsel
-/// (one RowBatch) under a mutex.  The mutex also serializes the child
-/// subtree's own metrics and budget charges, so single-threaded operators
-/// below a parallel one stay race-free.  The first error — the child's or
-/// one a lane reports through Abort() — latches and ends every lane's
-/// loop.
-class MorselSource {
+/// Per-lane footprints published by worker lanes and folded by lane 0.
+class LaneBytes {
  public:
-  MorselSource(PhysicalOperator* child, size_t morsel_size)
-      : child_(child), morsel_size_(morsel_size) {}
-
-  /// Fills `out` with the next morsel; false at end of stream or once an
-  /// error has latched.
-  bool Pull(RowBatch* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (done_ || !status_.ok()) return false;
-    out->SetCapacity(morsel_size_);
-    Status s = child_->NextBatch(*out);
-    if (!s.ok()) {
-      status_ = s;
-      return false;
-    }
-    if (out->empty()) {
-      done_ = true;
-      return false;
-    }
-    return true;
+  explicit LaneBytes(size_t lanes) : bytes_(lanes) {}
+  void Set(size_t lane, uint64_t bytes) {
+    bytes_[lane].store(bytes, std::memory_order_relaxed);
   }
-
-  /// Latches a lane-local error (evaluation failure, governance kill) so
-  /// the other lanes wind down at their next Pull.
-  void Abort(const Status& s) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (status_.ok()) status_ = s;
+  void Add(size_t lane, uint64_t bytes) {  // Single writer per lane.
+    Set(lane, bytes_[lane].load(std::memory_order_relaxed) + bytes);
   }
-
-  Status status() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return status_;
+  uint64_t Total() const {
+    uint64_t total = 0;
+    for (const auto& b : bytes_) total += b.load(std::memory_order_relaxed);
+    return total;
   }
 
  private:
-  std::mutex mu_;
-  PhysicalOperator* child_;
-  size_t morsel_size_;
-  bool done_ = false;
-  Status status_;
+  std::vector<std::atomic<uint64_t>> bytes_;
 };
 
-/// Per-phase lane bookkeeping: a Status slot per lane (first non-OK wins
-/// at the join) and the summed busy time feeding OperatorMetrics::cpu_ns.
-struct Phase {
-  explicit Phase(size_t lanes) : status(lanes) {}
-
-  Status First() const {
-    for (const Status& s : status) {
-      if (!s.ok()) return s;
+/// A finish phase: lanes claim partitions [0, parts) off a shared counter
+/// and run `fn(p)` on each, checking governance per partition.  Adds the
+/// summed lane time to `*cpu_ns`.
+Status ForEachPartition(const WorkerPool::Lease& lease, size_t parts,
+                        ExecContext* ctx, uint64_t* cpu_ns,
+                        const std::function<void(size_t)>& fn) {
+  std::vector<Status> status(lease.lanes());
+  std::atomic<size_t> claim{0};
+  std::atomic<uint64_t> busy{0};
+  WorkerPool::Global().ParallelFor(lease, [&](size_t lane) {
+    uint64_t t0 = NowNs();
+    while (true) {
+      size_t p = claim.fetch_add(1, std::memory_order_relaxed);
+      if (p >= parts) break;
+      if (ctx != nullptr) {
+        Status g = ctx->Check();
+        if (!g.ok()) {
+          status[lane] = g;
+          break;
+        }
+      }
+      fn(p);
     }
-    return Status::OK();
-  }
-
-  std::vector<Status> status;
-  std::atomic<uint64_t> cpu_ns{0};
-};
+    busy.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+  });
+  *cpu_ns += busy.load(std::memory_order_relaxed);
+  for (const Status& s : status) MRA_RETURN_IF_ERROR(s);
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -123,291 +117,133 @@ ParallelHashJoinOp::ParallelHashJoinOp(std::vector<size_t> left_keys,
       left_(std::move(left)),
       right_(std::move(right)),
       workers_(workers),
-      morsel_size_(morsel_size == 0 ? exec::kDefaultBatchSize : morsel_size) {
+      morsel_size_(morsel_size == 0 ? exec::kDefaultBatchSize : morsel_size),
+      build_(std::make_unique<Pipeline>(right_.get(), morsel_size_,
+                                        /*fuse=*/true)) {
   MRA_CHECK_EQ(left_keys_.size(), right_keys_.size());
   MRA_CHECK(!left_keys_.empty())
       << "ParallelHashJoin requires at least one key pair";
 }
 
+void ParallelHashJoinOp::Partition::Insert(Row row,
+                                           const std::vector<size_t>& keys,
+                                           size_t hash) {
+  bool inserted = false;
+  size_t id = index.InsertKey(row.tuple, keys, hash, &inserted);
+  if (inserted) heads.push_back(kNone);
+  next.push_back(heads[id]);
+  heads[id] = rows.size();
+  rows.push_back(std::move(row));
+}
+
 Status ParallelHashJoinOp::OpenImpl() {
-  staged_.clear();
   partitions_.clear();
-  out_.clear();
-  emit_lane_ = 0;
-  emit_pos_ = 0;
-  streaming_probe_ = false;
   probe_batch_.Clear();
   probe_pos_ = 0;
   current_left_.reset();
+  chain_part_ = nullptr;
   chain_ = kNone;
-
-  WorkerPool& pool = WorkerPool::Global();
-  WorkerPool::Lease lease = pool.Admit(workers_);
-  const size_t lanes = lease.lanes();
-  metrics_.workers = static_cast<uint32_t>(lanes);
-  // A one-lane lease (workers <= 1, or a saturated pool that shed the
-  // admission to serial) takes the fast path: direct build into a single
-  // arena and a streaming probe, skipping the staging pass, the radix
-  // routing and the output materialisation below.
-  if (lanes == 1) return OpenSerial();
-  // A few partitions per lane so the dynamic claim evens out skewed key
-  // distributions.
-  const size_t parts = NextPow2(4 * lanes);
-  const size_t mask = parts - 1;
-  ExecContext* ctx = exec_context();
-  const bool governed = ctx != nullptr;
-  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
-  auto fold_footprint = [&]() -> Status {  // Lane 0 / query thread only.
-    uint64_t total = 0;
-    for (const auto& b : lane_bytes) {
-      total += b.load(std::memory_order_relaxed);
-    }
-    return ChargeMemTo(total);
-  };
-
-  // --- Phase 1: radix-partition the build side. ---
-  MRA_RETURN_IF_ERROR(right_->Open());
-  staged_.assign(lanes, std::vector<std::vector<Row>>(parts));
-  {
-    Phase phase(lanes);
-    MorselSource source(right_.get(), morsel_size_);
-    std::atomic<uint64_t> total_rows{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      RowBatch morsel(morsel_size_);
-      std::vector<std::vector<Row>>& stage = staged_[lane];
-      uint64_t rows = 0;
-      uint64_t bytes = 0;
-      while (true) {
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            source.Abort(g);
-            break;
-          }
-        }
-        if (!source.Pull(&morsel)) break;
-        rows += morsel.size();
-        for (Row& row : morsel) {
-          size_t p = row.tuple.HashKey(right_keys_) & mask;
-          if (governed) bytes += ApproxRowBytes(row);
-          stage[p].push_back(std::move(row));
-        }
-        if (governed) {
-          lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-          if (lane == 0) {
-            Status charged = fold_footprint();
-            if (!charged.ok()) {
-              phase.status[lane] = charged;
-              source.Abort(charged);
-              break;
-            }
-          }
-        }
-      }
-      total_rows.fetch_add(rows, std::memory_order_relaxed);
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    metrics_.build_rows = total_rows.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(source.status());
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  right_->Close();
-  if (governed) MRA_RETURN_IF_ERROR(fold_footprint());
-
-  // --- Phase 2: build one private arena per partition.  Lanes claim
-  // partitions off a shared counter; a partition folds every lane's
-  // staged rows for it, so each arena is built by exactly one thread. ---
-  partitions_ = std::vector<Partition>(parts);
-  {
-    Phase phase(lanes);
-    std::atomic<size_t> claim{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      while (true) {
-        size_t p = claim.fetch_add(1, std::memory_order_relaxed);
-        if (p >= parts) break;
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            break;
-          }
-        }
-        Partition& part = partitions_[p];
-        for (size_t l = 0; l < lanes; ++l) {
-          for (Row& row : staged_[l][p]) {
-            bool inserted = false;
-            size_t id = part.index.InsertKey(row.tuple, right_keys_,
-                                             &inserted);
-            if (inserted) part.heads.push_back(kNone);
-            part.next.push_back(part.heads[id]);
-            part.heads[id] = part.rows.size();
-            part.rows.push_back(std::move(row));
-          }
-          // Release staged storage as it is consumed, partition by
-          // partition, so peak memory is staged + one arena, not 2x.
-          staged_[l][p] = std::vector<Row>();
-        }
-      }
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
+  Status built = Build();
+  build_->Close();
   staged_.clear();
+  MRA_RETURN_IF_ERROR(built);
+  if (fused_) return Status::OK();
+  probe_batch_.SetCapacity(morsel_size_);
+  return left_->Open();
+}
+
+Status ParallelHashJoinOp::Build() {
+  ExecContext* ctx = exec_context();
+  MRA_RETURN_IF_ERROR(build_->Open(ctx));
+  WorkerPool& pool = WorkerPool::Global();
+  WorkerPool::Lease lease = pool.Admit(build_->parallel() ? workers_ : 1);
+  const size_t lanes = lease.lanes();
+  metrics_.workers = std::max<uint32_t>(metrics_.workers,
+                                        static_cast<uint32_t>(lanes));
+  const size_t parts = PartitionsFor(lanes);
+  partitions_ = std::vector<Partition>(parts);
+
+  if (parts == 1) {
+    // One lane: insert straight into the single arena, no staging pass.
+    Partition& part = partitions_[0];
+    MRA_RETURN_IF_ERROR(build_->Run(lease, [&](size_t, RowBatch& batch) {
+      for (Row& row : batch) {
+        size_t hash = row.tuple.HashKey(right_keys_);
+        part.Insert(std::move(row), right_keys_, hash);
+      }
+      return NoteHashFootprint(part.ApproxBytes());
+    }));
+    metrics_.cpu_ns += build_->sink_ns();
+  } else {
+    // Lanes route build rows by radix into private staging; lane 0 charges
+    // the summed footprint as it grows.
+    const bool governed = ctx != nullptr;
+    LaneBytes lane_bytes(lanes);
+    staged_.assign(lanes, std::vector<std::vector<Row>>(parts));
+    MRA_RETURN_IF_ERROR(
+        build_->Run(lease, [&](size_t lane, RowBatch& batch) -> Status {
+          std::vector<std::vector<Row>>& stage = staged_[lane];
+          uint64_t bytes = 0;
+          for (Row& row : batch) {
+            size_t p = RadixOf(row.tuple.HashKey(right_keys_), parts);
+            if (governed) bytes += ApproxRowBytes(row);
+            stage[p].push_back(std::move(row));
+          }
+          if (!governed) return Status::OK();
+          lane_bytes.Add(lane, bytes);
+          return lane == 0 ? ChargeMemTo(lane_bytes.Total()) : Status::OK();
+        }));
+    metrics_.cpu_ns += build_->sink_ns();
+    if (governed) MRA_RETURN_IF_ERROR(ChargeMemTo(lane_bytes.Total()));
+
+    // Finish: one arena per partition, each built by exactly one lane from
+    // every lane's staged rows, releasing staged storage as it goes so the
+    // peak is staged + one arena, not 2x.
+    MRA_RETURN_IF_ERROR(ForEachPartition(
+        lease, parts, ctx, &metrics_.cpu_ns, [&](size_t p) {
+          Partition& part = partitions_[p];
+          for (size_t l = 0; l < lanes; ++l) {
+            for (Row& row : staged_[l][p]) {
+              size_t hash = row.tuple.HashKey(right_keys_);
+              part.Insert(std::move(row), right_keys_, hash);
+            }
+            staged_[l][p] = std::vector<Row>();
+          }
+        }));
+  }
   uint64_t arena_bytes = 0;
   size_t entries = 0;
   for (const Partition& part : partitions_) {
     arena_bytes += part.ApproxBytes();
     entries += part.index.size();
   }
+  metrics_.build_rows = build_->sink_rows();
   metrics_.peak_hash_entries = entries;
-  MRA_RETURN_IF_ERROR(NoteHashFootprint(arena_bytes));
-  for (auto& b : lane_bytes) b.store(0, std::memory_order_relaxed);
-
-  // --- Phase 3: probe morsels route by the same radix into read-only
-  // partitions; each lane appends matches to its private output. ---
-  MRA_RETURN_IF_ERROR(left_->Open());
-  out_.assign(lanes, {});
-  {
-    Phase phase(lanes);
-    MorselSource source(left_.get(), morsel_size_);
-    std::atomic<uint64_t> total_rows{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      RowBatch morsel(morsel_size_);
-      std::vector<Row>& sink = out_[lane];
-      uint64_t rows = 0;
-      uint64_t bytes = 0;
-      auto process = [&](const RowBatch& batch) -> Status {
-        for (const Row& probe : batch) {
-          size_t p = probe.tuple.HashKey(left_keys_) & mask;
-          const Partition& part = partitions_[p];
-          size_t id = part.index.FindKey(probe.tuple, left_keys_);
-          if (id == HashKeyIndex::kNotFound) continue;
-          for (size_t c = part.heads[id]; c != kNone; c = part.next[c]) {
-            Tuple combined = probe.tuple.Concat(part.rows[c].tuple);
-            if (residual_ != nullptr) {
-              MRA_ASSIGN_OR_RETURN(bool keep,
-                                   EvalPredicate(*residual_, combined));
-              if (!keep) continue;
-            }
-            if (governed) {
-              bytes += sizeof(Row) + combined.arity() * sizeof(Value);
-            }
-            sink.push_back(
-                Row{std::move(combined), probe.count * part.rows[c].count});
-          }
-        }
-        return Status::OK();
-      };
-      while (true) {
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            source.Abort(g);
-            break;
-          }
-        }
-        if (!source.Pull(&morsel)) break;
-        rows += morsel.size();
-        Status s = process(morsel);
-        if (!s.ok()) {
-          phase.status[lane] = s;
-          source.Abort(s);
-          break;
-        }
-        if (governed) {
-          lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-          if (lane == 0) {
-            Status charged = ChargeMemTo(arena_bytes + [&] {
-              uint64_t total = 0;
-              for (const auto& b : lane_bytes) {
-                total += b.load(std::memory_order_relaxed);
-              }
-              return total;
-            }());
-            if (!charged.ok()) {
-              phase.status[lane] = charged;
-              source.Abort(charged);
-              break;
-            }
-          }
-        }
-      }
-      total_rows.fetch_add(rows, std::memory_order_relaxed);
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    metrics_.probe_rows = total_rows.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(source.status());
-    MRA_RETURN_IF_ERROR(phase.First());
-    if (governed) {
-      uint64_t total = arena_bytes;
-      for (const auto& b : lane_bytes) {
-        total += b.load(std::memory_order_relaxed);
-      }
-      MRA_RETURN_IF_ERROR(ChargeMemTo(total));
-    }
-  }
-  left_->Close();
-  return Status::OK();
+  return NoteHashFootprint(arena_bytes);
 }
 
-// One-lane fast path: the build lands straight in partitions_[0] (same
-// arena layout, no staging pass) and Next/NextBatch stream the probe
-// exactly like exec::HashJoinOp — bench/e20_parallel_scaling holds this
-// within 5% of the serial kernel.  Governance still lands per batch: the
-// children's own NextBatch wrappers check the context, and the footprint
-// notes below charge the budget as the arena grows.
-Status ParallelHashJoinOp::OpenSerial() {
-  partitions_ = std::vector<Partition>(1);
-  Partition& part = partitions_[0];
-  uint64_t t0 = NowNs();
-  MRA_RETURN_IF_ERROR(right_->Open());
-  RowBatch batch(morsel_size_);
-  while (true) {
-    MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
-    if (batch.empty()) break;
-    for (Row& row : batch) {
-      bool inserted = false;
-      size_t id = part.index.InsertKey(row.tuple, right_keys_, &inserted);
-      if (inserted) part.heads.push_back(kNone);
-      part.next.push_back(part.heads[id]);
-      part.heads[id] = part.rows.size();
-      part.rows.push_back(std::move(row));
-    }
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(part.ApproxBytes()));
-  }
-  right_->Close();
-
-  metrics_.build_rows = part.rows.size();
-  metrics_.peak_hash_entries = part.index.size();
-  metrics_.cpu_ns += NowNs() - t0;
-  MRA_RETURN_IF_ERROR(NoteHashFootprint(part.ApproxBytes()));
-  probe_batch_.SetCapacity(morsel_size_);
-  streaming_probe_ = true;
-  return left_->Open();
+void ParallelHashJoinOp::Prefetch(size_t hash) const {
+  partitions_[RadixOf(hash, partitions_.size())].index.Prefetch(hash);
 }
 
-Result<std::optional<Row>> ParallelHashJoinOp::StreamNext() {
-  const Partition& part = partitions_[0];
+size_t ParallelHashJoinOp::FindChain(const Tuple& probe, size_t hash,
+                                     const Partition** part) const {
+  *part = &partitions_[RadixOf(hash, partitions_.size())];
+  size_t id = (*part)->index.FindKey(probe, left_keys_, hash);
+  return id == HashKeyIndex::kNotFound ? kNone : (*part)->heads[id];
+}
+
+Result<std::optional<Row>> ParallelHashJoinOp::NextImpl() {
   while (true) {
     if (chain_ == kNone) {
       MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
       if (!current_left_.has_value()) return std::optional<Row>();
       ++metrics_.probe_rows;
-      size_t id = part.index.FindKey(current_left_->tuple, left_keys_);
-      if (id == HashKeyIndex::kNotFound) continue;
-      chain_ = part.heads[id];
-      if (chain_ == kNone) continue;
+      chain_ = FindChain(current_left_->tuple, &chain_part_);
+      continue;
     }
-    const Row& rhs = part.rows[chain_];
-    chain_ = part.next[chain_];
+    const Row& rhs = chain_part_->rows[chain_];
+    chain_ = chain_part_->next[chain_];
     Tuple combined = current_left_->tuple.Concat(rhs.tuple);
     if (residual_ != nullptr) {
       MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, combined));
@@ -418,8 +254,7 @@ Result<std::optional<Row>> ParallelHashJoinOp::StreamNext() {
   }
 }
 
-Status ParallelHashJoinOp::StreamBatch(RowBatch& out) {
-  const Partition& part = partitions_[0];
+Status ParallelHashJoinOp::NextBatchImpl(RowBatch& out) {
   while (!out.full()) {
     if (chain_ == kNone) {
       if (probe_pos_ == probe_batch_.size()) {
@@ -428,77 +263,42 @@ Status ParallelHashJoinOp::StreamBatch(RowBatch& out) {
         if (probe_batch_.empty()) return Status::OK();
       }
       ++metrics_.probe_rows;
-      size_t id = part.index.FindKey(probe_batch_[probe_pos_].tuple,
-                                     left_keys_);
-      if (id == HashKeyIndex::kNotFound || part.heads[id] == kNone) {
+      chain_ = FindChain(probe_batch_[probe_pos_].tuple, &chain_part_);
+      if (chain_ == kNone) {
         ++probe_pos_;
         continue;
       }
-      chain_ = part.heads[id];
     }
     // Concat into a recycled slot; on residual rejection truncate it back
     // off (the exec::HashJoinOp::EmitMatch idiom).
     const Row& probe = probe_batch_[probe_pos_];
+    const Row& rhs = chain_part_->rows[chain_];
     Row& slot = out.AppendSlot();
-    slot.tuple.AssignConcat(probe.tuple, part.rows[chain_].tuple);
-    slot.count = probe.count * part.rows[chain_].count;
+    slot.tuple.AssignConcat(probe.tuple, rhs.tuple);
+    slot.count = probe.count * rhs.count;
     if (residual_ != nullptr) {
       MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
       if (!keep) out.Truncate(out.size() - 1);
     }
-    chain_ = part.next[chain_];
+    chain_ = chain_part_->next[chain_];
     if (chain_ == kNone) ++probe_pos_;
   }
   return Status::OK();
 }
 
-Result<std::optional<Row>> ParallelHashJoinOp::NextImpl() {
-  if (streaming_probe_) return StreamNext();
-  while (emit_lane_ < out_.size()) {
-    std::vector<Row>& lane_out = out_[emit_lane_];
-    if (emit_pos_ < lane_out.size()) {
-      Row& r = lane_out[emit_pos_++];
-      return std::optional<Row>(Row{std::move(r.tuple), r.count});
-    }
-    ++emit_lane_;
-    emit_pos_ = 0;
-  }
-  return std::optional<Row>();
-}
-
-Status ParallelHashJoinOp::NextBatchImpl(RowBatch& out) {
-  if (streaming_probe_) return StreamBatch(out);
-  while (!out.full()) {
-    if (emit_lane_ >= out_.size()) return Status::OK();
-    std::vector<Row>& lane_out = out_[emit_lane_];
-    if (emit_pos_ >= lane_out.size()) {
-      ++emit_lane_;
-      emit_pos_ = 0;
-      continue;
-    }
-    Row& r = lane_out[emit_pos_++];
-    Row& slot = out.AppendSlot();
-    slot.tuple = std::move(r.tuple);
-    slot.count = r.count;
-  }
-  return Status::OK();
-}
-
 void ParallelHashJoinOp::CloseImpl() {
+  // The build arena stays parked until the next Open or destruction, as
+  // exec::HashJoinOp's does; the wrapper returns its budget charge here.
   staged_.clear();
-  partitions_.clear();
-  out_.clear();
-  emit_lane_ = 0;
-  emit_pos_ = 0;
-  streaming_probe_ = false;
   probe_batch_.Clear();
   probe_pos_ = 0;
   current_left_.reset();
+  chain_part_ = nullptr;
   chain_ = kNone;
-  // Children were closed at the end of their phases on the success path;
-  // Close is idempotent, so this also covers unwinds.
+  // Close is idempotent, so this also covers unwinds; a fused probe side
+  // is closed by the parent pipeline that owns it.
+  build_->Close();
   left_->Close();
-  right_->Close();
 }
 
 // --- ParallelHashGroupByOp. ---
@@ -514,13 +314,12 @@ ParallelHashGroupByOp::ParallelHashGroupByOp(std::vector<size_t> keys,
       schema_(std::move(output_schema)),
       child_(std::move(child)),
       workers_(workers),
-      morsel_size_(morsel_size == 0 ? exec::kDefaultBatchSize : morsel_size) {
+      input_(std::make_unique<Pipeline>(child_.get(), morsel_size,
+                                        /*fuse=*/true)) {
   agg_types_.reserve(aggs_.size());
   for (const AggSpec& agg : aggs_) {
     agg_types_.push_back(child_->schema().TypeOf(agg.attr));
   }
-  key_identity_.resize(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) key_identity_[i] = i;
 }
 
 Status ParallelHashGroupByOp::OpenImpl() {
@@ -528,63 +327,40 @@ Status ParallelHashGroupByOp::OpenImpl() {
   merged_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
+  Status s = Aggregate();
+  input_->Close();
+  lane_tables_.clear();
+  return s;
+}
 
-  WorkerPool& pool = WorkerPool::Global();
-  WorkerPool::Lease lease = pool.Admit(workers_);
+Status ParallelHashGroupByOp::Aggregate() {
+  ExecContext* ctx = exec_context();
+  MRA_RETURN_IF_ERROR(input_->Open(ctx));
+  WorkerPool::Lease lease =
+      WorkerPool::Global().Admit(input_->parallel() ? workers_ : 1);
   const size_t lanes = lease.lanes();
   // Key-free aggregation has a single global group: one partition, merged
   // serially — the classic two-phase shape.
-  const size_t parts =
-      (lanes == 1 || keys_.empty()) ? 1 : NextPow2(4 * lanes);
-  const size_t mask = parts - 1;
+  const size_t parts = keys_.empty() ? 1 : PartitionsFor(lanes);
   metrics_.workers = static_cast<uint32_t>(lanes);
-  ExecContext* ctx = exec_context();
   const bool governed = ctx != nullptr;
   const size_t num_aggs = aggs_.size();
-  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
-  auto fold_footprint = [&]() -> Status {
-    uint64_t total = 0;
-    for (const auto& b : lane_bytes) {
-      total += b.load(std::memory_order_relaxed);
-    }
-    return NoteHashFootprint(total);
-  };
+  LaneBytes lane_bytes(lanes);
 
-  // --- Phase 1: per-lane pre-aggregation, radix-routed by group key.
+  // --- Sink: per-lane pre-aggregation, radix-routed by group key.
   // Folding rows into lane-local accumulators both shrinks the merge and
   // is the parallel speedup: Definition 3.3's aggregates commute with
   // partitioning, so partial per-lane states are exact. ---
-  MRA_RETURN_IF_ERROR(child_->Open());
   lane_tables_.resize(lanes);
-  for (auto& tables : lane_tables_) {
-    tables = std::vector<GroupTable>(parts);
-  }
-  size_t pre_merge_entries = 0;
-  {
-    Phase phase(lanes);
-    MorselSource source(child_.get(), morsel_size_);
-    std::atomic<uint64_t> total_rows{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      RowBatch morsel(morsel_size_);
-      std::vector<GroupTable>& tables = lane_tables_[lane];
-      uint64_t rows = 0;
-      while (true) {
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            source.Abort(g);
-            break;
-          }
-        }
-        if (!source.Pull(&morsel)) break;
-        rows += morsel.size();
-        for (const Row& row : morsel) {
-          size_t p = parts == 1 ? 0 : row.tuple.HashKey(keys_) & mask;
-          GroupTable& table = tables[p];
+  for (auto& tables : lane_tables_) tables = std::vector<GroupTable>(parts);
+  MRA_RETURN_IF_ERROR(
+      input_->Run(lease, [&](size_t lane, RowBatch& batch) -> Status {
+        std::vector<GroupTable>& tables = lane_tables_[lane];
+        for (const Row& row : batch) {
+          size_t hash = row.tuple.HashKey(keys_);
+          GroupTable& table = tables[RadixOf(hash, parts)];
           bool inserted = false;
-          size_t id = table.index.InsertKey(row.tuple, keys_, &inserted);
+          size_t id = table.index.InsertKey(row.tuple, keys_, hash, &inserted);
           if (inserted) {
             for (size_t i = 0; i < num_aggs; ++i) {
               table.accs.emplace_back(aggs_[i].kind, agg_types_[i]);
@@ -595,30 +371,17 @@ Status ParallelHashGroupByOp::OpenImpl() {
                                               row.count);
           }
         }
-        if (governed) {
-          uint64_t bytes = 0;
-          for (const GroupTable& t : tables) bytes += t.ApproxBytes();
-          lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-          if (lane == 0) {
-            Status charged = fold_footprint();
-            if (!charged.ok()) {
-              phase.status[lane] = charged;
-              source.Abort(charged);
-              break;
-            }
-          }
-        }
-      }
-      total_rows.fetch_add(rows, std::memory_order_relaxed);
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    metrics_.build_rows = total_rows.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(source.status());
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  child_->Close();
+        if (!governed) return Status::OK();
+        uint64_t bytes = 0;
+        for (const GroupTable& t : tables) bytes += t.ApproxBytes();
+        lane_bytes.Set(lane, bytes);
+        return lane == 0 ? NoteHashFootprint(lane_bytes.Total())
+                         : Status::OK();
+      }));
+  metrics_.cpu_ns += input_->sink_ns();
+  metrics_.build_rows = input_->sink_rows();
   uint64_t pass1_bytes = 0;
+  size_t pre_merge_entries = 0;
   for (const auto& tables : lane_tables_) {
     for (const GroupTable& t : tables) {
       pass1_bytes += t.ApproxBytes();
@@ -627,51 +390,33 @@ Status ParallelHashGroupByOp::OpenImpl() {
   }
   MRA_RETURN_IF_ERROR(NoteHashFootprint(pass1_bytes));
 
-  // --- Phase 2: merge each partition across lanes.  Lane 0's table seeds
-  // the merge; other lanes' groups re-key on the stored key tuple and
-  // their accumulators fold in with AggAccumulator::Merge. ---
+  // --- Finish: merge each partition across lanes.  Lane 0's table seeds
+  // the merge; other lanes' keys move in (Absorb), a new group takes its
+  // accumulators along, and a known one folds them in with
+  // AggAccumulator::Merge. ---
   merged_ = std::vector<GroupTable>(parts);
-  {
-    Phase phase(lanes);
-    std::atomic<size_t> claim{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      while (true) {
-        size_t p = claim.fetch_add(1, std::memory_order_relaxed);
-        if (p >= parts) break;
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            break;
-          }
-        }
+  MRA_RETURN_IF_ERROR(ForEachPartition(
+      lease, parts, ctx, &metrics_.cpu_ns, [&](size_t p) {
         GroupTable& m = merged_[p];
         m = std::move(lane_tables_[0][p]);
+        std::vector<size_t> ids;
         for (size_t l = 1; l < lanes; ++l) {
           GroupTable& t = lane_tables_[l][p];
-          for (size_t id = 0; id < t.index.size(); ++id) {
-            bool inserted = false;
-            size_t mid =
-                m.index.InsertKey(t.index.key(id), key_identity_, &inserted);
-            if (inserted) {
-              for (size_t i = 0; i < num_aggs; ++i) {
-                m.accs.emplace_back(aggs_[i].kind, agg_types_[i]);
-              }
-            }
+          const size_t known = m.index.size();
+          m.index.Absorb(t.index, &ids);
+          for (size_t id = 0; id < ids.size(); ++id) {
             for (size_t i = 0; i < num_aggs; ++i) {
-              m.accs[mid * num_aggs + i].Merge(t.accs[id * num_aggs + i]);
+              AggAccumulator& acc = t.accs[id * num_aggs + i];
+              if (ids[id] >= known) {
+                m.accs.push_back(std::move(acc));
+              } else {
+                m.accs[ids[id] * num_aggs + i].Merge(acc);
+              }
             }
           }
           t = GroupTable();  // Free as consumed.
         }
-      }
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  lane_tables_.clear();
+      }));
 
   // Def 3.3: Γ over an empty relation with no grouping attributes still
   // denotes the one global group (whose AVG/MIN/MAX are then undefined).
@@ -693,8 +438,7 @@ Status ParallelHashGroupByOp::OpenImpl() {
   metrics_.peak_hash_entries = std::max(pre_merge_entries, groups);
   // hash_bytes already high-watered at pass-1 peak; re-charge down to the
   // merged arena, which is what emission holds.
-  MRA_RETURN_IF_ERROR(ChargeMemTo(merged_bytes));
-  return Status::OK();
+  return ChargeMemTo(merged_bytes);
 }
 
 Result<Row> ParallelHashGroupByOp::EmitGroup(const GroupTable& table,
@@ -743,11 +487,12 @@ Status ParallelHashGroupByOp::NextBatchImpl(RowBatch& out) {
 }
 
 void ParallelHashGroupByOp::CloseImpl() {
+  // The merged tables stay parked until the next Open or destruction, as
+  // the serial kernel's do; the wrapper returns their budget charge here.
   lane_tables_.clear();
-  merged_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
-  child_->Close();
+  input_->Close();
 }
 
 // --- ParallelDedupOp. ---
@@ -756,7 +501,8 @@ ParallelDedupOp::ParallelDedupOp(exec::PhysOpPtr child, size_t workers,
                                  size_t morsel_size)
     : child_(std::move(child)),
       workers_(workers),
-      morsel_size_(morsel_size == 0 ? exec::kDefaultBatchSize : morsel_size) {
+      input_(std::make_unique<Pipeline>(child_.get(), morsel_size,
+                                        /*fuse=*/true)) {
   identity_.resize(child_->schema().arity());
   for (size_t i = 0; i < identity_.size(); ++i) identity_[i] = i;
 }
@@ -766,75 +512,52 @@ Status ParallelDedupOp::OpenImpl() {
   merged_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
+  Status s = Deduplicate();
+  input_->Close();
+  lane_seen_.clear();
+  return s;
+}
 
-  WorkerPool& pool = WorkerPool::Global();
-  WorkerPool::Lease lease = pool.Admit(workers_);
-  const size_t lanes = lease.lanes();
-  const size_t parts = lanes == 1 ? 1 : NextPow2(4 * lanes);
-  const size_t mask = parts - 1;
-  metrics_.workers = static_cast<uint32_t>(lanes);
+Status ParallelDedupOp::Deduplicate() {
   ExecContext* ctx = exec_context();
+  MRA_RETURN_IF_ERROR(input_->Open(ctx));
+  WorkerPool::Lease lease =
+      WorkerPool::Global().Admit(input_->parallel() ? workers_ : 1);
+  const size_t lanes = lease.lanes();
+  const size_t parts = PartitionsFor(lanes);
+  metrics_.workers = static_cast<uint32_t>(lanes);
   const bool governed = ctx != nullptr;
-  std::vector<std::atomic<uint64_t>> lane_bytes(lanes);
+  LaneBytes lane_bytes(lanes);
 
-  // --- Phase 1: per-lane pre-dedup, radix-routed on the whole tuple. ---
-  MRA_RETURN_IF_ERROR(child_->Open());
+  // --- Sink: per-lane pre-dedup, radix-routed on the whole tuple. ---
   lane_seen_.resize(lanes);
-  for (auto& seen : lane_seen_) {
-    seen = std::vector<HashKeyIndex>(parts);
-  }
-  {
-    Phase phase(lanes);
-    MorselSource source(child_.get(), morsel_size_);
-    std::atomic<uint64_t> total_rows{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      RowBatch morsel(morsel_size_);
-      std::vector<HashKeyIndex>& seen = lane_seen_[lane];
-      uint64_t rows = 0;
-      while (true) {
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            source.Abort(g);
-            break;
-          }
+  for (auto& seen : lane_seen_) seen = std::vector<HashKeyIndex>(parts);
+  std::vector<std::vector<size_t>> lane_hashes(lanes);
+  MRA_RETURN_IF_ERROR(
+      input_->Run(lease, [&](size_t lane, RowBatch& batch) -> Status {
+        std::vector<HashKeyIndex>& seen = lane_seen_[lane];
+        // Hash and prefetch the whole batch first, so the inserts overlap
+        // their cache misses.
+        std::vector<size_t>& hashes = lane_hashes[lane];
+        hashes.resize(batch.size());
+        for (size_t r = 0; r < batch.size(); ++r) {
+          hashes[r] = batch[r].tuple.HashKey(identity_);
+          seen[RadixOf(hashes[r], parts)].Prefetch(hashes[r]);
         }
-        if (!source.Pull(&morsel)) break;
-        rows += morsel.size();
-        for (const Row& row : morsel) {
-          size_t p = parts == 1 ? 0 : row.tuple.HashKey(identity_) & mask;
+        for (size_t r = 0; r < batch.size(); ++r) {
           bool inserted = false;
-          seen[p].InsertKey(row.tuple, identity_, &inserted);
+          seen[RadixOf(hashes[r], parts)].InsertKey(batch[r].tuple, identity_,
+                                                    hashes[r], &inserted);
         }
-        if (governed) {
-          uint64_t bytes = 0;
-          for (const HashKeyIndex& s : seen) bytes += s.ApproxBytes();
-          lane_bytes[lane].store(bytes, std::memory_order_relaxed);
-          if (lane == 0) {
-            uint64_t total = 0;
-            for (const auto& b : lane_bytes) {
-              total += b.load(std::memory_order_relaxed);
-            }
-            Status charged = NoteHashFootprint(total);
-            if (!charged.ok()) {
-              phase.status[lane] = charged;
-              source.Abort(charged);
-              break;
-            }
-          }
-        }
-      }
-      total_rows.fetch_add(rows, std::memory_order_relaxed);
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    metrics_.build_rows = total_rows.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(source.status());
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  child_->Close();
+        if (!governed) return Status::OK();
+        uint64_t bytes = 0;
+        for (const HashKeyIndex& s : seen) bytes += s.ApproxBytes();
+        lane_bytes.Set(lane, bytes);
+        return lane == 0 ? NoteHashFootprint(lane_bytes.Total())
+                         : Status::OK();
+      }));
+  metrics_.cpu_ns += input_->sink_ns();
+  metrics_.build_rows = input_->sink_rows();
   uint64_t pass1_bytes = 0;
   size_t pre_merge_entries = 0;
   for (const auto& seen : lane_seen_) {
@@ -845,40 +568,16 @@ Status ParallelDedupOp::OpenImpl() {
   }
   MRA_RETURN_IF_ERROR(NoteHashFootprint(pass1_bytes));
 
-  // --- Phase 2: partition-wise union of supports across lanes. ---
+  // --- Finish: partition-wise union of supports across lanes. ---
   merged_ = std::vector<HashKeyIndex>(parts);
-  {
-    Phase phase(lanes);
-    std::atomic<size_t> claim{0};
-    pool.ParallelFor(lease, [&](size_t lane) {
-      uint64_t t0 = NowNs();
-      while (true) {
-        size_t p = claim.fetch_add(1, std::memory_order_relaxed);
-        if (p >= parts) break;
-        if (ctx != nullptr) {
-          Status g = ctx->Check();
-          if (!g.ok()) {
-            phase.status[lane] = g;
-            break;
-          }
-        }
+  MRA_RETURN_IF_ERROR(ForEachPartition(
+      lease, parts, ctx, &metrics_.cpu_ns, [&](size_t p) {
         HashKeyIndex& m = merged_[p];
         m = std::move(lane_seen_[0][p]);
         for (size_t l = 1; l < lanes; ++l) {
-          HashKeyIndex& s = lane_seen_[l][p];
-          for (size_t id = 0; id < s.size(); ++id) {
-            bool inserted = false;
-            m.InsertKey(s.key(id), identity_, &inserted);
-          }
-          s = HashKeyIndex();  // Free as consumed.
+          m.Absorb(lane_seen_[l][p], nullptr);  // Frees as consumed.
         }
-      }
-      phase.cpu_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    });
-    metrics_.cpu_ns += phase.cpu_ns.load(std::memory_order_relaxed);
-    MRA_RETURN_IF_ERROR(phase.First());
-  }
-  lane_seen_.clear();
+      }));
 
   size_t distinct = 0;
   uint64_t merged_bytes = 0;
@@ -888,8 +587,7 @@ Status ParallelDedupOp::OpenImpl() {
   }
   metrics_.distinct_rows = distinct;
   metrics_.peak_hash_entries = std::max(pre_merge_entries, distinct);
-  MRA_RETURN_IF_ERROR(ChargeMemTo(merged_bytes));
-  return Status::OK();
+  return ChargeMemTo(merged_bytes);
 }
 
 Result<std::optional<Row>> ParallelDedupOp::NextImpl() {
@@ -920,11 +618,12 @@ Status ParallelDedupOp::NextBatchImpl(RowBatch& out) {
 }
 
 void ParallelDedupOp::CloseImpl() {
+  // The merged tables stay parked until the next Open or destruction, as
+  // the serial kernel's do; the wrapper returns their budget charge here.
   lane_seen_.clear();
-  merged_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
-  child_->Close();
+  input_->Close();
 }
 
 }  // namespace parallel

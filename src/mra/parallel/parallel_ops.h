@@ -1,20 +1,25 @@
 // Morsel-driven parallel variants of the hash kernels (docs/PARALLELISM.md).
 //
-// All three operators share one shape: their work happens in OpenImpl as a
-// sequence of phases fanned out over a WorkerPool lease, and Next/NextBatch
-// then stream an already-materialised result.  A *morsel* is one RowBatch
-// pulled from the shared child cursor under a light mutex (relations are
-// hash maps — there is no index range to slice, so the cursor itself is the
-// work queue).  Partitioning is by key-hash radix: P = next power of two
-// >= 4 x lanes partitions (exactly 1 when the lease is serial, so a
-// one-lane run skips routing entirely), which makes the partitions
-// *disjoint by key* — and under the paper's multi-set semantics that is the
-// whole correctness argument:
+// All three are pipeline breakers.  Each compiles its input subtree into a
+// lane pipeline (mra/parallel/pipeline.h) at construction, and its Open
+// runs that pipeline under one WorkerPool lease with a per-lane sink, then
+// finishes with one synchronisation phase; Next/NextBatch stream the
+// finished state.  A ParallelHashJoinOp is also a pipeline *stage*: when
+// its parent fuses it, its Open only builds, and the parent's lanes probe
+// the finished build morsel by morsel.  Pulled by a serial parent instead,
+// it probes on the caller's thread.
+//
+// Partitioning is by key-hash radix — high hash bits, so routing never
+// correlates with the slot bits the per-partition hash index uses:
+// P = next power of two >= 4 x lanes partitions (exactly 1 on a one-lane
+// lease, which skips routing entirely).  The partitions are disjoint by
+// key, and under the paper's multi-set semantics that is the whole
+// correctness argument:
 //
 //  * join (Def 3.1): every (probe, build) match pair has equal key hashes,
 //    so it meets in exactly one partition; output multiplicities are the
-//    per-pair products, and the result is the disjoint ⊎ of the per-lane
-//    outputs.
+//    per-pair products, and the result is the disjoint ⊎ of what the lanes
+//    emit.
 //  * group-by (Def 3.3): the aggregates are multiplicity-weighted sums /
 //    extrema, so per-lane partial accumulators over a partition of the
 //    input merge additively (AggAccumulator::Merge) into exactly the
@@ -23,15 +28,14 @@
 //    per-lane pre-dedup only collapses duplicates early.
 //
 // Governance: the shared ExecContext reaches every lane — each lane checks
-// it per morsel (and the child's own batch wrapper checks per pull), so a
-// cancel/deadline/budget kill lands within one morsel on all cores.  Only
-// lane 0 (always the query thread) calls ChargeMemTo; worker lanes publish
-// their footprints through relaxed atomics that lane 0 folds between its
-// own morsels and at every phase join.
+// it per morsel, so a cancel/deadline/budget kill lands within one morsel
+// on all cores.  Only lane 0 (always the query thread) calls ChargeMemTo;
+// worker lanes publish their footprints through relaxed atomics that lane 0
+// folds after each of its own morsels and at every phase join.
 //
-// Metrics: per-lane row counters and busy-times merge after each phase
-// join into OperatorMetrics — `workers=N` and the summed lane time
-// (`cpu=`) appear in EXPLAIN ANALYZE next to the elapsed wall time.
+// Metrics: `workers=N` is the lease the operator's own pipeline ran on;
+// `cpu=` is the summed lane time of the sink and finish phases (for a
+// fused join, of the build and the probe stage), next to elapsed wall time.
 
 #ifndef MRA_PARALLEL_PARALLEL_OPS_H_
 #define MRA_PARALLEL_PARALLEL_OPS_H_
@@ -42,16 +46,18 @@
 #include <vector>
 
 #include "mra/exec/operator.h"
+#include "mra/parallel/pipeline.h"
 #include "mra/parallel/worker_pool.h"
 
 namespace mra {
 namespace parallel {
 
-/// ⋈ on equi-key conjuncts, partitioned: radix-partition the build side,
-/// build one private hash arena per partition in parallel, then probe
-/// morsels route by the same radix into read-only partitions.  Output
-/// multiplicity is the product of the matched input multiplicities
-/// (Definition 3.1), exactly as exec::HashJoinOp.
+/// ⋈ on equi-key conjuncts, partitioned: the build side's lanes route rows
+/// by key radix into per-lane staging, then one private hash arena per
+/// partition is built in parallel.  Probes route by the same radix into
+/// the read-only partitions.  Output multiplicity is the product of the
+/// matched input multiplicities (Definition 3.1), exactly as
+/// exec::HashJoinOp.
 class ParallelHashJoinOp final : public exec::PhysicalOperator {
  public:
   ParallelHashJoinOp(std::vector<size_t> left_keys,
@@ -72,31 +78,39 @@ class ParallelHashJoinOp final : public exec::PhysicalOperator {
   void CloseImpl() override;
 
  private:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
+  friend class Pipeline;  // Fuses the probe into its lanes.
 
-  /// One-lane lease (workers <= 1, or a saturated pool shed): the build
-  /// lands in partitions_[0] directly — no staging pass — and the probe
-  /// streams from Next/NextBatch exactly like exec::HashJoinOp, so a
-  /// one-lane plan pays neither radix routing nor output materialisation
-  /// (bench/e20_parallel_scaling pins the overhead under 5%).
-  Status OpenSerial();
-  Result<std::optional<exec::Row>> StreamNext();
-  Status StreamBatch(exec::RowBatch& out);
+  static constexpr size_t kNone = static_cast<size_t>(-1);
 
   /// One radix partition's build arena: the same key-index + chained flat
   /// rows layout as exec::HashJoinOp, private to the lane that built it
-  /// and read-only during the probe phase.
+  /// and read-only during the probe.
   struct Partition {
     exec::HashKeyIndex index;
     std::vector<size_t> heads;
     std::vector<exec::Row> rows;
     std::vector<size_t> next;
+    void Insert(exec::Row row, const std::vector<size_t>& keys, size_t hash);
     size_t ApproxBytes() const {
       return index.ApproxBytes() + heads.capacity() * sizeof(size_t) +
              next.capacity() * sizeof(size_t) +
              rows.capacity() * sizeof(exec::Row);
     }
   };
+
+  /// Runs the build pipeline and finishes the partitions.
+  Status Build();
+
+  /// The first build row matching `probe` (kNone when none) and the
+  /// partition holding its chain; `hash` is probe.HashKey(left_keys_).
+  size_t FindChain(const Tuple& probe, size_t hash,
+                   const Partition** part) const;
+  size_t FindChain(const Tuple& probe, const Partition** part) const {
+    return FindChain(probe, probe.HashKey(left_keys_), part);
+  }
+
+  /// Starts loading the index slot FindChain probes first for `hash`.
+  void Prefetch(size_t hash) const;
 
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
@@ -106,27 +120,28 @@ class ParallelHashJoinOp final : public exec::PhysicalOperator {
   exec::PhysOpPtr right_;
   size_t workers_;
   size_t morsel_size_;
+  std::unique_ptr<Pipeline> build_;
+  /// Set when a parent pipeline drives the probe: Open only builds.
+  bool fused_ = false;
 
   // Open-time state, cleared on Close.
   std::vector<std::vector<std::vector<exec::Row>>> staged_;  // [lane][p]
   std::vector<Partition> partitions_;
-  std::vector<std::vector<exec::Row>> out_;  // [lane] probe output
-  size_t emit_lane_ = 0;
-  size_t emit_pos_ = 0;
 
-  // One-lane streaming-probe cursor (mirrors exec::HashJoinOp): the
-  // current probe row and its position in the match chain.
-  bool streaming_probe_ = false;
+  // Caller-thread probe cursor (unfused): the current probe row and its
+  // position in the match chain.
   exec::RowBatch probe_batch_;
   size_t probe_pos_ = 0;
   std::optional<exec::Row> current_left_;
+  const Partition* chain_part_ = nullptr;
   size_t chain_ = kNone;
 };
 
-/// Γ, partitioned: one morsel pass builds per-lane pre-aggregation tables
-/// routed by group-key radix; a parallel merge phase folds each partition
-/// across lanes with AggAccumulator::Merge (Definition 3.3 aggregates are
-/// multiplicity-weighted, hence additive over disjoint input partitions).
+/// Γ, partitioned: the input pipeline's lanes fold into per-lane
+/// pre-aggregation tables routed by group-key radix; a parallel merge phase
+/// folds each partition across lanes with AggAccumulator::Merge
+/// (Definition 3.3 aggregates are multiplicity-weighted, hence additive
+/// over disjoint input partitions).
 /// Key-free aggregation degenerates to per-lane accumulators merged at the
 /// join — classic two-phase aggregation — and preserves the Definition 3.3
 /// empty-input global group.
@@ -161,14 +176,16 @@ class ParallelHashGroupByOp final : public exec::PhysicalOperator {
 
   Result<exec::Row> EmitGroup(const GroupTable& table, size_t id);
 
+  /// Runs the input pipeline and the merge phase.
+  Status Aggregate();
+
   std::vector<size_t> keys_;
   std::vector<AggSpec> aggs_;
   std::vector<Type> agg_types_;  // Input type per aggregate, for ctors.
-  std::vector<size_t> key_identity_;  // 0..keys-1: re-keying stored keys.
   RelationSchema schema_;
   exec::PhysOpPtr child_;
   size_t workers_;
-  size_t morsel_size_;
+  std::unique_ptr<Pipeline> input_;
 
   std::vector<std::vector<GroupTable>> lane_tables_;  // [lane][p]
   std::vector<GroupTable> merged_;                    // [p]
@@ -176,9 +193,9 @@ class ParallelHashGroupByOp final : public exec::PhysicalOperator {
   size_t emit_pos_ = 0;
 };
 
-/// δ, partitioned: per-lane pre-dedup into radix-routed key indexes, then
-/// a parallel partition-wise union of supports; every surviving tuple
-/// streams with multiplicity 1.
+/// δ, partitioned: the input pipeline's lanes pre-dedup into radix-routed
+/// key indexes, then a parallel partition-wise union of supports; every
+/// surviving tuple streams with multiplicity 1.
 class ParallelDedupOp final : public exec::PhysicalOperator {
  public:
   ParallelDedupOp(exec::PhysOpPtr child, size_t workers, size_t morsel_size);
@@ -196,10 +213,13 @@ class ParallelDedupOp final : public exec::PhysicalOperator {
   void CloseImpl() override;
 
  private:
+  /// Runs the input pipeline and the merge phase.
+  Status Deduplicate();
+
   exec::PhysOpPtr child_;
   std::vector<size_t> identity_;  // 0..arity-1: δ keys on all attributes.
   size_t workers_;
-  size_t morsel_size_;
+  std::unique_ptr<Pipeline> input_;
 
   std::vector<std::vector<exec::HashKeyIndex>> lane_seen_;  // [lane][p]
   std::vector<exec::HashKeyIndex> merged_;                  // [p]

@@ -24,6 +24,13 @@ void Encoder::PutU32(uint32_t v) {
   }
 }
 
+void Encoder::PatchU32(size_t offset, uint32_t v) {
+  MRA_CHECK_LE(offset + 4, buffer_.size());
+  for (int i = 0; i < 4; ++i) {
+    buffer_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
 void Encoder::PutU64(uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -120,6 +127,16 @@ Status Decoder::Need(size_t n) const {
   return Status::OK();
 }
 
+Result<uint32_t> Decoder::GetCount(size_t min_element_bytes) {
+  MRA_ASSIGN_OR_RETURN(uint32_t count, GetU32());
+  if (static_cast<uint64_t>(count) * min_element_bytes > remaining()) {
+    return Status::Corruption("element count " + std::to_string(count) +
+                              " exceeds the remaining " +
+                              std::to_string(remaining()) + " bytes");
+  }
+  return count;
+}
+
 Result<uint8_t> Decoder::GetU8() {
   MRA_RETURN_IF_ERROR(Need(1));
   return static_cast<uint8_t>(data_[pos_++]);
@@ -201,8 +218,16 @@ Result<Value> Decoder::GetValue() {
   return Status::Corruption("unknown value kind tag " + std::to_string(kind));
 }
 
+// Smallest encodings of the counted elements below: a value is at least
+// its kind tag; an attribute a string length plus a kind tag; a column's
+// fixed fields and a histogram bucket are all fixed-width.
+constexpr size_t kMinValueBytes = 1;
+constexpr size_t kMinAttributeBytes = 4 + 1;
+constexpr size_t kMinColumnBytes = 8 + 8 + 1 + 8 + 8 + 4;
+constexpr size_t kBucketBytes = 8 + 8 + 8 + 8;
+
 Result<Tuple> Decoder::GetTuple() {
-  MRA_ASSIGN_OR_RETURN(uint32_t arity, GetU32());
+  MRA_ASSIGN_OR_RETURN(uint32_t arity, GetCount(kMinValueBytes));
   std::vector<Value> values;
   values.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {
@@ -214,7 +239,7 @@ Result<Tuple> Decoder::GetTuple() {
 
 Result<RelationSchema> Decoder::GetSchema() {
   MRA_ASSIGN_OR_RETURN(std::string name, GetString());
-  MRA_ASSIGN_OR_RETURN(uint32_t arity, GetU32());
+  MRA_ASSIGN_OR_RETURN(uint32_t arity, GetCount(kMinAttributeBytes));
   std::vector<Attribute> attrs;
   attrs.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {
@@ -246,7 +271,7 @@ Result<stats::TableStatistics> Decoder::GetStatistics() {
   MRA_ASSIGN_OR_RETURN(out.row_count, GetU64());
   MRA_ASSIGN_OR_RETURN(out.distinct_count, GetU64());
   MRA_ASSIGN_OR_RETURN(out.collected_at, GetU64());
-  MRA_ASSIGN_OR_RETURN(uint32_t columns, GetU32());
+  MRA_ASSIGN_OR_RETURN(uint32_t columns, GetCount(kMinColumnBytes));
   out.columns.resize(columns);
   for (uint32_t i = 0; i < columns; ++i) {
     stats::ColumnStatistics& c = out.columns[i];
@@ -256,7 +281,7 @@ Result<stats::TableStatistics> Decoder::GetStatistics() {
     c.has_range = has_range != 0;
     MRA_ASSIGN_OR_RETURN(c.min, GetDouble());
     MRA_ASSIGN_OR_RETURN(c.max, GetDouble());
-    MRA_ASSIGN_OR_RETURN(uint32_t buckets_n, GetU32());
+    MRA_ASSIGN_OR_RETURN(uint32_t buckets_n, GetCount(kBucketBytes));
     std::vector<stats::HistogramBucket> buckets(buckets_n);
     for (stats::HistogramBucket& b : buckets) {
       MRA_ASSIGN_OR_RETURN(b.lo, GetDouble());

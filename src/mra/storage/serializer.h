@@ -40,6 +40,13 @@ class Encoder {
   const std::string& buffer() const { return buffer_; }
   std::string TakeBuffer() { return std::move(buffer_); }
 
+  /// Reuse: Clear() drops the bytes but keeps the capacity, and PatchU32
+  /// overwrites a u32 written earlier at `offset` (a length prefix encoded
+  /// before its payload's size was known).
+  size_t size() const { return buffer_.size(); }
+  void Clear() { buffer_.clear(); }
+  void PatchU32(size_t offset, uint32_t v);
+
  private:
   std::string buffer_;
 };
@@ -63,8 +70,15 @@ class Decoder {
   Result<Relation> GetRelation();
   Result<stats::TableStatistics> GetStatistics();
 
+  /// Reads a u32 element count for a container about to be allocated and
+  /// rejects it with Corruption when `count` elements of at least
+  /// `min_element_bytes` encoded bytes each cannot fit in what is left of
+  /// the input — so a corrupt count never sizes an allocation.
+  Result<uint32_t> GetCount(size_t min_element_bytes);
+
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t position() const { return pos_; }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   Status Need(size_t n) const;

@@ -7,25 +7,37 @@
 // The matrix runs every parallel operator at worker counts 1/2/8 and
 // morsel/batch granularities 1/7/1024 over seeded random inputs whose
 // multiplicities reach 10^6 (multiplicity arithmetic must not be rebuilt
-// from row repetition).  The cancel hammer and the failpoint kills are the
-// TSan targets: cancellation arriving from another thread must land within
-// one morsel on every lane and unwind with balanced memory accounting.
+// from row repetition).  A second matrix runs whole lane pipelines — the
+// plan shapes of the analytic workload, through the planner — against
+// EvaluatePlan.  The cancel hammer and the failpoint kills are the TSan
+// targets: cancellation arriving from another thread must land within one
+// morsel on every lane and unwind with balanced memory accounting and no
+// leftover sort runs.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "mra/algebra/evaluator.h"
 #include "mra/algebra/ops.h"
 #include "mra/common/config.h"
 #include "mra/exec/exec_context.h"
 #include "mra/exec/operator.h"
+#include "mra/exec/sort.h"
 #include "mra/fault/failpoint.h"
+#include "mra/lang/binder.h"
 #include "mra/lang/interpreter.h"
+#include "mra/lang/parser.h"
 #include "mra/obs/metrics.h"
 #include "mra/parallel/parallel_ops.h"
 #include "mra/parallel/worker_pool.h"
@@ -254,6 +266,293 @@ TEST(ParallelExecGovernance, MemoryBudgetTripsDuringParallelBuild) {
   ASSERT_FALSE(killed.ok());
   EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(ctx.mem_used(), 0u);
+}
+
+// --- Lane pipelines: the analytic workload's plan shapes end to end.
+
+/// fact(k, v) ⋈ dim(k, g) at test scale, loaded and analyzed so the
+/// planner arms the parallel kernels (threshold 1).
+std::unique_ptr<Database> AnalyticDb(uint64_t max_mult) {
+  auto db = Database::Open();
+  EXPECT_TRUE(db.ok());
+  std::mt19937_64 rng(max_mult);
+  Relation fact(RelationSchema("fact", {{"k", Type::Int()},
+                                        {"v", Type::Int()}}));
+  Relation dim(RelationSchema("dim", {{"k", Type::Int()},
+                                      {"g", Type::Int()}}));
+  for (int64_t k = 0; k < 80; ++k) {
+    dim.InsertUnchecked(Tuple({Value::Int(k), Value::Int(k % 7)}), 1);
+  }
+  for (int i = 0; i < 300; ++i) {
+    fact.InsertUnchecked(
+        Tuple({Value::Int(static_cast<int64_t>(rng() % 100)),
+               Value::Int(static_cast<int64_t>(rng() % 400))}),
+        1 + rng() % max_mult);
+  }
+  for (Relation* rel : {&fact, &dim}) {
+    const std::string name = rel->schema().name();
+    EXPECT_OK((*db)->CreateRelation(rel->schema()));
+    auto txn = (*db)->Begin();
+    EXPECT_OK(txn);
+    EXPECT_OK((*txn)->Insert(name, *rel));
+    EXPECT_OK((*txn)->Commit());
+    EXPECT_OK((*db)->Analyze(name));
+  }
+  return std::move(*db);
+}
+
+// ⋈→π→Γ, ⋈→Top-K, π→δ→Γ and σ→sort(spill)→Γ.
+const char* const kAnalyticShapes[] = {
+    "groupby([%4], sum(%2), cnt(%1), join(%1 = %3, fact, dim))",
+    "sort([-%2], join(%1 = %3, fact, dim), 10)",
+    "groupby([], cnt(%1), unique(project([%2], fact)))",
+    "groupby([], cnt(%1), max(%2), sort([%2], select(%2 < 300, fact)))",
+};
+
+Relation Definitional(const Database& db, const char* query) {
+  auto expr = lang::ParseRelExpr(query);
+  EXPECT_OK(expr);
+  auto plan = lang::BindRelExpr(**expr, db.catalog());
+  EXPECT_OK(plan);
+  auto rel = EvaluatePlan(**plan, db.catalog());
+  EXPECT_OK(rel);
+  return *rel;
+}
+
+TEST(LanePipelineDifferential, AnalyticShapesMatchEvaluatePlan) {
+  for (uint64_t max_mult : {uint64_t{4}, uint64_t{1000000}}) {
+    auto db = AnalyticDb(max_mult);
+    std::vector<Relation> oracles;
+    for (const char* query : kAnalyticShapes) {
+      oracles.push_back(Definitional(*db, query));
+    }
+    for (size_t lanes : {1, 2, 4, 8}) {
+      for (size_t morsel : {1, 7, 1024}) {
+        for (uint64_t spill : {uint64_t{0}, uint64_t{256}}) {
+          lang::Interpreter interp(db.get(), ConfigBuilder()
+                                                 .Workers(lanes)
+                                                 .MorselSize(morsel)
+                                                 .ParallelThreshold(1)
+                                                 .SortSpillBytes(spill)
+                                                 .Build());
+          for (size_t q = 0; q < std::size(kAnalyticShapes); ++q) {
+            SCOPED_TRACE(std::string(kAnalyticShapes[q]) +
+                         " lanes=" + std::to_string(lanes) +
+                         " morsel=" + std::to_string(morsel) +
+                         " spill=" + std::to_string(spill) +
+                         " mult=" + std::to_string(max_mult));
+            auto got = interp.Query(kAnalyticShapes[q]);
+            ASSERT_OK(got);
+            EXPECT_REL_EQ(*got, oracles[q]);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LanePipelineDifferential, ChainedProbesShareOneLane) {
+  // Γ(σ(r ⋈ s) ⋈ t): both probes fuse into the group-by's pipeline, so
+  // the inner probe's flush runs the filter and the outer probe inside
+  // the same lane before the inner one resumes.
+  std::mt19937_64 rng(5);
+  Relation r = RandomIntRelation(rng, 2, 300, 30, 5);
+  Relation s = RandomIntRelation(rng, 2, 60, 30, 3);
+  Relation t = RandomIntRelation(rng, 2, 60, 30, 1000000);
+  std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "sum_v"},
+                               {AggKind::kCnt, 0, "cnt"}};
+  auto rs = ops::Join(Eq(Attr(1), Attr(2)), r, s);
+  ASSERT_OK(rs);
+  auto kept = ops::Select(Lt(Attr(0), Lit(int64_t{20})), *rs);
+  ASSERT_OK(kept);
+  auto rst = ops::Join(Eq(Attr(3), Attr(4)), *kept, t);
+  ASSERT_OK(rst);
+  auto oracle = ops::GroupBy({5}, aggs, *rst);
+  ASSERT_OK(oracle);
+  ASSERT_GT(rst->distinct_size(), 100u);  // Many flushes below 1024.
+  for (size_t workers : {1, 2, 4, 8}) {
+    for (size_t morsel : {1, 7, 1024}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " morsel=" + std::to_string(morsel));
+      auto inner = std::make_unique<parallel::ParallelHashJoinOp>(
+          std::vector<size_t>{1}, std::vector<size_t>{0}, nullptr, Scan(r),
+          Scan(s), workers, morsel);
+      auto filtered = std::make_unique<exec::FilterOp>(
+          Lt(Attr(0), Lit(int64_t{20})), std::move(inner));
+      auto outer = std::make_unique<parallel::ParallelHashJoinOp>(
+          std::vector<size_t>{3}, std::vector<size_t>{0}, nullptr,
+          std::move(filtered), Scan(t), workers, morsel);
+      auto schema = ops::GroupBySchema({5}, aggs, outer->schema());
+      ASSERT_OK(schema);
+      parallel::ParallelHashGroupByOp root({5}, aggs, *schema,
+                                           std::move(outer), workers, morsel);
+      auto got = exec::ExecuteToRelation(root, morsel);
+      ASSERT_OK(got);
+      EXPECT_REL_EQ(*got, *oracle);
+    }
+  }
+}
+
+/// The `workers=` figure on the first EXPLAIN ANALYZE line naming `op`.
+int WorkersOf(const std::string& text, const std::string& op) {
+  size_t at = text.find(op);
+  if (at == std::string::npos) return -1;
+  size_t eol = text.find('\n', at);
+  size_t w = text.find("workers=", at);
+  if (w == std::string::npos || w > eol) return 0;
+  return std::atoi(text.c_str() + w + 8);
+}
+
+TEST(LanePipelinePlanner, NestedBreakersRunOnTheFullLease) {
+  // One lease per pipeline, taken when the pipeline starts: with the pool
+  // idle, the join and δ under a Γ get the whole lease instead of what the
+  // parent left over.
+  auto db = AnalyticDb(4);
+  lang::Interpreter interp(
+      db.get(), ConfigBuilder().Workers(4).ParallelThreshold(1).Build());
+  const int lease = static_cast<int>(
+      std::min<size_t>(4, parallel::WorkerPool::Global().capacity()));
+  auto join = interp.ExplainAnalyze(kAnalyticShapes[0]);
+  ASSERT_OK(join);
+  EXPECT_EQ(WorkersOf(*join, "ParallelHashGroupBy"), lease) << *join;
+  EXPECT_EQ(WorkersOf(*join, "ParallelHashJoin"), lease) << *join;
+  auto distinct = interp.ExplainAnalyze(kAnalyticShapes[2]);
+  ASSERT_OK(distinct);
+  EXPECT_EQ(WorkersOf(*distinct, "ParallelDedup"), lease) << *distinct;
+  // Γ over δ's serial emission runs on one lane.
+  EXPECT_EQ(WorkersOf(*distinct, "ParallelHashGroupBy"), 1) << *distinct;
+  auto sorted = interp.ExplainAnalyze(kAnalyticShapes[3]);
+  ASSERT_OK(sorted);
+  EXPECT_EQ(WorkersOf(*sorted, "Sort"), lease) << *sorted;
+  EXPECT_EQ(WorkersOf(*sorted, "ParallelHashGroupBy"), 1) << *sorted;
+}
+
+TEST(LanePipelinePlanner, BreakerOverASelectiveParallelJoinRunsParallel) {
+  // The join's inputs clear the threshold but its estimated output does
+  // not; the Γ above still goes parallel so the probe fuses into its lanes
+  // instead of running on the thread that pulls the join.
+  auto db = AnalyticDb(4);
+  lang::Interpreter interp(
+      db.get(), ConfigBuilder().Workers(4).ParallelThreshold(400).Build());
+  const char* query =
+      "groupby([%4], cnt(%1), join(%1 = %3, fact, select(%2 = 1, dim)))";
+  auto text = interp.Explain(query);
+  ASSERT_OK(text);
+  EXPECT_NE(text->find("ParallelHashJoin"), std::string::npos) << *text;
+  EXPECT_NE(text->find("ParallelHashGroupBy"), std::string::npos) << *text;
+  auto got = interp.Query(query);
+  ASSERT_OK(got);
+  EXPECT_REL_EQ(*got, Definitional(*db, query));
+}
+
+/// Points the sort spill at a private directory for the test's lifetime,
+/// so counting run files is not disturbed by other processes.
+class PrivateTempDir {
+ public:
+  PrivateTempDir() {
+    const char* old = std::getenv("TMPDIR");
+    if (old != nullptr) old_ = old;
+    dir_ = std::filesystem::temp_directory_path() /
+           ("mra_pipeline_test_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+    ::setenv("TMPDIR", dir_.c_str(), 1);
+  }
+  ~PrivateTempDir() {
+    if (old_.empty()) {
+      ::unsetenv("TMPDIR");
+    } else {
+      ::setenv("TMPDIR", old_.c_str(), 1);
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  size_t Files() const {
+    size_t n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  }
+
+ private:
+  std::string old_;
+  std::filesystem::path dir_;
+};
+
+TEST(LanePipelineGovernance, KillMidPipelineLeaksNoBudgetOrRunFiles) {
+  // Γ(⋈) and Γ(sort(σ)) with a spilling sort, killed by cancel from
+  // another thread and by an expired deadline, and Γ(⋈) by the budget (the
+  // sort sheds budget pressure by spilling): whatever lands where, nothing
+  // stays charged and no run file survives.
+  PrivateTempDir tmp;
+  Relation r = BigPairs(20000);
+  std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "sum_v"},
+                               {AggKind::kCnt, 0, "cnt"}};
+  auto join_groupby = [&] {
+    auto join = ParallelJoin(r, r, 8, 64);
+    auto schema = ops::GroupBySchema({0}, aggs, join->schema());
+    EXPECT_OK(schema);
+    return exec::PhysOpPtr(std::make_unique<parallel::ParallelHashGroupByOp>(
+        std::vector<size_t>{0}, aggs, *schema, std::move(join), 8, 64));
+  };
+  auto sort_groupby = [&] {
+    auto sort = std::make_unique<exec::SortOp>(
+        std::vector<size_t>{1}, std::vector<bool>{false}, 0,
+        /*spill_bytes=*/64 * 1024,
+        std::make_unique<exec::FilterOp>(Lt(Attr(1), Lit(int64_t{15000})),
+                                         Scan(r)),
+        /*workers=*/8, /*morsel_size=*/64);
+    auto schema = ops::GroupBySchema({}, aggs, sort->schema());
+    EXPECT_OK(schema);
+    return exec::PhysOpPtr(std::make_unique<parallel::ParallelHashGroupByOp>(
+        std::vector<size_t>{}, aggs, *schema, std::move(sort), 8, 64));
+  };
+  for (bool is_join : {true, false}) {
+    std::function<exec::PhysOpPtr()> build =
+        is_join ? std::function<exec::PhysOpPtr()>(join_groupby)
+                : std::function<exec::PhysOpPtr()>(sort_groupby);
+    for (int round = 0; round < 6; ++round) {
+      exec::ExecContext ctx;
+      auto op = build();
+      op->SetExecContext(&ctx);
+      std::thread killer([&ctx, round] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200 * round));
+        ctx.RequestCancel();
+      });
+      auto result = exec::ExecuteToRelation(*op, 64);
+      killer.join();
+      if (!result.ok()) {
+        EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+            << result.status().ToString();
+      }
+      EXPECT_EQ(ctx.mem_used(), 0u) << "cancel round " << round;
+      EXPECT_EQ(tmp.Files(), 0u) << "cancel round " << round;
+    }
+    {
+      exec::ExecContext ctx;
+      ctx.SetDeadlineAfterMs(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      auto op = build();
+      op->SetExecContext(&ctx);
+      auto killed = exec::ExecuteToRelation(*op, 64);
+      ASSERT_FALSE(killed.ok());
+      EXPECT_EQ(killed.status().code(), StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(ctx.mem_used(), 0u);
+      EXPECT_EQ(tmp.Files(), 0u);
+    }
+    if (is_join) {
+      exec::ExecContext ctx;
+      ctx.SetMemoryBudget(16 * 1024);
+      auto op = build();
+      op->SetExecContext(&ctx);
+      auto killed = exec::ExecuteToRelation(*op, 64);
+      ASSERT_FALSE(killed.ok());
+      EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(ctx.mem_used(), 0u);
+      EXPECT_EQ(tmp.Files(), 0u);
+    }
+  }
 }
 
 // --- The pool itself.

@@ -109,6 +109,13 @@ TEST_P(TpchMiniTest, AllPlanShapesAgreeWithDefinitionalEvaluation) {
   ExecConfig merge_plan = ConfigBuilder().SortMergeJoin(true).Build();
   ExecConfig spill_plan =
       ConfigBuilder().SortMergeJoin(true).SortSpillBytes(64).Build();
+  // Every hash kernel and sort on lane pipelines, spilling sorts included.
+  ExecConfig lane_plan = ConfigBuilder()
+                             .Workers(4)
+                             .ParallelThreshold(1)
+                             .MorselSize(7)
+                             .SortSpillBytes(64)
+                             .Build();
 
   for (const char* query : kQueries) {
     auto oracle = RunOne(query, definitional);
@@ -119,7 +126,8 @@ TEST_P(TpchMiniTest, AllPlanShapesAgreeWithDefinitionalEvaluation) {
     };
     for (const Named& plan : {Named{"hash", &hash_plan},
                               Named{"sort-merge", &merge_plan},
-                              Named{"sort-merge+spill", &spill_plan}}) {
+                              Named{"sort-merge+spill", &spill_plan},
+                              Named{"lanes", &lane_plan}}) {
       auto got = RunOne(query, *plan.config);
       ASSERT_OK(got);
       EXPECT_REL_EQ(*got, *oracle)
