@@ -12,7 +12,8 @@
 // machines with fewer than 4 hardware threads, where a 2x expectation is
 // physically meaningless.  Result multisets are asserted identical across
 // all lane counts before anything is timed.  A per-layer split (scans,
-// build, probe, Γ) from the operators' own timing follows the table.
+// build, probe, Γ) from the operators' own timing follows the table, with
+// the plan's teardown after the drain as a last column.
 //
 //   $ ./build/bench/e20_parallel_scaling               # full 1M-row run
 //   $ ./build/bench/e20_parallel_scaling --rows 50000  # CI smoke scale
@@ -117,7 +118,8 @@ double SecondsToDrain(const std::function<exec::PhysOpPtr()>& make,
 
 /// One timed drain, split by layer from the operators' own metrics (wall
 /// time, each layer exclusive of the ones below it): both scans, the
-/// join's build and probe, and the group-by on top.
+/// join's build and probe, and the group-by on top — then the teardown,
+/// timed here: destroying the drained plan with its hash arenas.
 void PrintLayerSplit(const Relation* left, const Relation* right,
                      size_t workers) {
   exec::PhysOpPtr root = BuildPipeline(left, right, workers);
@@ -130,11 +132,20 @@ void PrintLayerSplit(const Relation* left, const Relation* right,
   const obs::OperatorMetrics& build_scan = join.children()[1]->metrics();
   const obs::OperatorMetrics& j = join.metrics();
   auto ms = [](double ns) { return ns / 1e6; };
-  Row("%-10zu %-10.1f %-10.1f %-10.1f %-10.1f", workers,
-      ms(probe_scan.total_ns() + build_scan.total_ns()),
-      ms(static_cast<double>(j.open_ns) - build_scan.total_ns()),
-      ms(static_cast<double>(j.next_ns) - probe_scan.total_ns()),
-      ms(static_cast<double>(root->metrics().total_ns()) - j.total_ns()));
+  const double scans_ms = ms(probe_scan.total_ns() + build_scan.total_ns());
+  const double build_ms =
+      ms(static_cast<double>(j.open_ns) - build_scan.total_ns());
+  const double probe_ms =
+      ms(static_cast<double>(j.next_ns) - probe_scan.total_ns());
+  const double group_by_ms =
+      ms(static_cast<double>(root->metrics().total_ns()) - j.total_ns());
+  auto start = std::chrono::steady_clock::now();
+  root.reset();
+  const double teardown_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+  Row("%-10zu %-10.1f %-10.1f %-10.1f %-10.1f %-10.1f", workers, scans_ms,
+      build_ms, probe_ms, group_by_ms, teardown_ms);
 }
 
 void VerifyScaling(size_t rows) {
@@ -185,8 +196,8 @@ void VerifyScaling(size_t rows) {
 
   Row("");
   Row("layer split, ms (workers 0 = serial kernels):");
-  Row("%-10s %-10s %-10s %-10s %-10s", "workers", "scans", "build",
-      "probe", "group-by");
+  Row("%-10s %-10s %-10s %-10s %-10s %-10s", "workers", "scans", "build",
+      "probe", "group-by", "teardown");
   for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
     PrintLayerSplit(&jl, &jr, workers);
   }

@@ -14,13 +14,19 @@ Tuple Tuple::Concat(const Tuple& other) const {
   return Tuple(std::move(values));
 }
 
-void Tuple::AssignConcat(const Tuple& a, const Tuple& b) {
-  MRA_CHECK(this != &a && this != &b) << "AssignConcat must not alias";
-  values_.resize(a.values_.size() + b.values_.size());
+void Tuple::AssignConcat(const Tuple& a, TupleView b) {
+  MRA_CHECK(this != &a && (b.empty() || b.data() != values_.data()))
+      << "AssignConcat must not alias";
+  values_.resize(a.values_.size() + b.size());
   for (size_t i = 0; i < a.values_.size(); ++i) values_[i] = a.values_[i];
-  for (size_t i = 0; i < b.values_.size(); ++i) {
-    values_[a.values_.size() + i] = b.values_[i];
-  }
+  for (size_t i = 0; i < b.size(); ++i) values_[a.values_.size() + i] = b[i];
+}
+
+void Tuple::Assign(TupleView values) {
+  MRA_CHECK(values.empty() || values.data() != values_.data())
+      << "Assign must not alias";
+  values_.resize(values.size());
+  for (size_t i = 0; i < values.size(); ++i) values_[i] = values[i];
 }
 
 Tuple Tuple::Project(const std::vector<size_t>& indexes) const {
@@ -62,20 +68,21 @@ size_t Tuple::Hash() const {
   return h;
 }
 
-size_t Tuple::HashKey(const std::vector<size_t>& attrs) const {
+size_t HashKey(TupleView row, const std::vector<size_t>& attrs) {
   size_t h = Mix64(attrs.size());
   for (size_t i : attrs) {
-    MRA_CHECK_LT(i, values_.size()) << "key attribute out of range";
-    h = HashCombine(h, values_[i].Hash());
+    MRA_CHECK_LT(i, row.size()) << "key attribute out of range";
+    h = HashCombine(h, row[i].Hash());
   }
   return h;
 }
 
-bool Tuple::KeyEquals(const Tuple& key, const std::vector<size_t>& attrs) const {
-  MRA_CHECK_EQ(key.arity(), attrs.size()) << "KeyEquals arity mismatch";
+bool KeyEquals(TupleView row, const std::vector<size_t>& attrs,
+               TupleView key) {
+  MRA_CHECK_EQ(key.size(), attrs.size()) << "KeyEquals arity mismatch";
   for (size_t k = 0; k < attrs.size(); ++k) {
-    const Value& mine = values_[attrs[k]];
-    const Value& theirs = key.values_[k];
+    const Value& mine = row[attrs[k]];
+    const Value& theirs = key[k];
     if (mine.kind() != theirs.kind() || !mine.Equals(theirs)) return false;
   }
   return true;

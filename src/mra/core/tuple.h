@@ -5,6 +5,7 @@
 #define MRA_CORE_TUPLE_H_
 
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,21 @@
 #include "mra/core/value.h"
 
 namespace mra {
+
+/// A borrowed run of values laid out as a tuple: how the hash kernels' flat
+/// arenas (mra/exec/hash_table.h) hand out a stored key or build row
+/// without boxing it in a Tuple.  Valid until the arena it points into
+/// grows, resets or is destroyed.
+using TupleView = std::span<const Value>;
+
+/// Hash of π_attrs(row) without materialising the projection; equal to
+/// Tuple(π_attrs(row)).Hash() by construction.
+size_t HashKey(TupleView row, const std::vector<size_t>& attrs);
+
+/// key == π_attrs(row), again without materialising the projection.
+/// `key` must have arity attrs.size().
+bool KeyEquals(TupleView row, const std::vector<size_t>& attrs,
+               TupleView key);
 
 /// An ordered list of atomic values.  Tuples do not carry their schema; the
 /// containing Relation (or operator) does, matching the paper's treatment of
@@ -33,6 +49,7 @@ class Tuple {
     return values_[i];
   }
   const std::vector<Value>& values() const { return values_; }
+  TupleView view() const { return values_; }
 
   /// Tuple concatenation r1 ⊕ r2 (Definition 2.4).
   Tuple Concat(const Tuple& other) const;
@@ -40,7 +57,17 @@ class Tuple {
   /// Overwrites this tuple with a ⊕ b, reusing this tuple's value storage
   /// (no allocation when the combined arity fits the existing capacity).
   /// Neither operand may alias this tuple.
-  void AssignConcat(const Tuple& a, const Tuple& b);
+  void AssignConcat(const Tuple& a, const Tuple& b) {
+    AssignConcat(a, b.view());
+  }
+  void AssignConcat(const Tuple& a, TupleView b);
+
+  /// Overwrites this tuple with a copy of `values`, reusing its value
+  /// storage; `values` must not point into this tuple.
+  void Assign(TupleView values);
+
+  /// r ⊕ (v): appends one attribute value.
+  void Append(Value v) { values_.push_back(std::move(v)); }
 
   /// Tuple projection π_a(r): concatenates the attributes named by the
   /// 0-based index list `a` into a new tuple; indexes may repeat
@@ -65,14 +92,11 @@ class Tuple {
 
   size_t Hash() const;
 
-  /// Hash of π_attrs(*this) without materialising the projection; equal to
-  /// Project(attrs).Hash() by construction, so probe-side rows can be
-  /// hashed against stored key tuples allocation-free.
-  size_t HashKey(const std::vector<size_t>& attrs) const;
-
-  /// key == π_attrs(*this), again without materialising the projection.
-  /// `key` must have arity attrs.size().
-  bool KeyEquals(const Tuple& key, const std::vector<size_t>& attrs) const;
+  /// mra::HashKey over this tuple's values: probe-side rows are hashed
+  /// against stored keys allocation-free.
+  size_t HashKey(const std::vector<size_t>& attrs) const {
+    return mra::HashKey(values_, attrs);
+  }
 
   /// Checks that this tuple inhabits dom(schema): arity and domains match.
   Status ConformsTo(const RelationSchema& schema) const;

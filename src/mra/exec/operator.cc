@@ -816,60 +816,39 @@ HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
 }
 
 Status HashJoinOp::OpenImpl() {
-  // Build phase: drain the right child into the recycled arena.  Rows with
-  // the same key are chained through `next_` off the key's `heads_` entry,
-  // newest first — chain order only permutes output order, which the bag
-  // stream convention does not observe.
-  index_.Reset();
-  heads_.clear();
-  build_size_ = 0;
+  // Build phase: drain the right child into the recycled arena.
+  build_.Reset();
   probe_batch_.Clear();
   probe_pos_ = 0;
   current_left_.reset();
   chain_ = kNone;
 
   MRA_RETURN_IF_ERROR(right_->Open());
-  auto footprint = [this] {
-    return index_.ApproxBytes() + heads_.capacity() * sizeof(size_t) +
-           next_.capacity() * sizeof(size_t) +
-           build_rows_.capacity() * sizeof(Row);
-  };
   RowBatch batch;
   while (true) {
     MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
     if (batch.empty()) break;
-    for (Row& row : batch) {
-      bool inserted = false;
-      size_t id = index_.InsertKey(row.tuple, right_keys_, &inserted);
-      if (inserted) heads_.push_back(kNone);
-      if (build_size_ == build_rows_.size()) {
-        build_rows_.emplace_back();
-        next_.emplace_back();
-      }
-      // Copy-assign into the (possibly parked) slot so its buffers recycle.
-      build_rows_[build_size_].tuple = row.tuple;
-      build_rows_[build_size_].count = row.count;
-      next_[build_size_] = heads_[id];
-      heads_[id] = build_size_;
-      ++build_size_;
+    for (const Row& row : batch) {
+      build_.Insert(row.tuple.view(), row.count, right_keys_,
+                    row.tuple.HashKey(right_keys_));
     }
     // Per-batch: budget check plus live hash_bytes / hash.peak_bytes so
     // `\top` sees the build while it grows.
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(footprint()));
+    MRA_RETURN_IF_ERROR(NoteHashFootprint(build_.ApproxBytes()));
   }
   right_->Close();
 
-  metrics_.build_rows = build_size_;
-  metrics_.peak_hash_entries = index_.size();
-  MRA_RETURN_IF_ERROR(NoteHashFootprint(footprint()));
+  metrics_.build_rows = build_.rows();
+  metrics_.peak_hash_entries = build_.keys();
+  MRA_RETURN_IF_ERROR(NoteHashFootprint(build_.ApproxBytes()));
   return left_->Open();
 }
 
 Result<bool> HashJoinOp::EmitMatch(const Row& probe, size_t match,
                                    RowBatch& out) {
   Row& slot = out.AppendSlot();
-  slot.tuple.AssignConcat(probe.tuple, build_rows_[match].tuple);
-  slot.count = probe.count * build_rows_[match].count;
+  slot.tuple.AssignConcat(probe.tuple, build_.row(match));
+  slot.count = probe.count * build_.count(match);
   if (residual_ != nullptr) {
     MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
     if (!keep) {
@@ -886,20 +865,20 @@ Result<std::optional<Row>> HashJoinOp::NextImpl() {
       MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
       if (!current_left_.has_value()) return std::optional<Row>();
       ++metrics_.probe_rows;
-      size_t id = index_.FindKey(current_left_->tuple, left_keys_);
-      if (id == HashKeyIndex::kNotFound) continue;
-      chain_ = heads_[id];
+      const Tuple& probe = current_left_->tuple;
+      chain_ = build_.FindChain(probe.view(), left_keys_,
+                                probe.HashKey(left_keys_));
       if (chain_ == kNone) continue;
     }
-    const Row& rhs = build_rows_[chain_];
-    chain_ = next_[chain_];
-    Tuple combined = current_left_->tuple.Concat(rhs.tuple);
+    const size_t match = chain_;
+    chain_ = build_.next(match);
+    Row row{Tuple(), current_left_->count * build_.count(match)};
+    row.tuple.AssignConcat(current_left_->tuple, build_.row(match));
     if (residual_ != nullptr) {
-      MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, combined));
+      MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, row.tuple));
       if (!keep) continue;
     }
-    return std::optional<Row>(
-        Row{std::move(combined), current_left_->count * rhs.count});
+    return std::optional<Row>(std::move(row));
   }
 }
 
@@ -912,17 +891,18 @@ Status HashJoinOp::NextBatchImpl(RowBatch& out) {
         if (probe_batch_.empty()) return Status::OK();
       }
       ++metrics_.probe_rows;
-      size_t id = index_.FindKey(probe_batch_[probe_pos_].tuple, left_keys_);
-      if (id == HashKeyIndex::kNotFound || heads_[id] == kNone) {
+      const Tuple& probe = probe_batch_[probe_pos_].tuple;
+      chain_ = build_.FindChain(probe.view(), left_keys_,
+                                probe.HashKey(left_keys_));
+      if (chain_ == kNone) {
         ++probe_pos_;
         continue;
       }
-      chain_ = heads_[id];
     }
     MRA_ASSIGN_OR_RETURN(bool emitted,
                          EmitMatch(probe_batch_[probe_pos_], chain_, out));
     (void)emitted;
-    chain_ = next_[chain_];
+    chain_ = build_.next(chain_);
     if (chain_ == kNone) ++probe_pos_;
   }
   return Status::OK();
@@ -932,8 +912,7 @@ void HashJoinOp::CloseImpl() {
   HashBuildRowsCounter()->Inc(metrics_.build_rows);
   HashProbeRowsCounter()->Inc(metrics_.probe_rows);
   NoteHashPeakBytes(metrics_.hash_bytes);
-  index_.Reset();
-  build_size_ = 0;
+  build_.Reset();
   probe_batch_.Clear();
   probe_pos_ = 0;
   current_left_.reset();
@@ -1074,32 +1053,35 @@ Status HashGroupByOp::OpenImpl() {
   return NoteHashFootprint(footprint());
 }
 
-Result<Row> HashGroupByOp::EmitGroup(size_t id) {
+Status HashGroupByOp::EmitGroup(size_t id, Tuple& out) {
   // Finish() is where Def 3.3's partiality surfaces: AVG/MIN/MAX over an
   // empty group return kUndefined, which propagates out of Next/NextBatch.
-  std::vector<Value> values = index_.key(id).values();
-  values.reserve(keys_.size() + aggs_.size());
+  out.Assign(index_.key(id));
   for (size_t i = 0; i < aggs_.size(); ++i) {
     MRA_ASSIGN_OR_RETURN(Value v, accs_[id * aggs_.size() + i].Finish());
-    values.push_back(std::move(v));
+    out.Append(std::move(v));
   }
-  return Row{Tuple(std::move(values)), 1};
+  return Status::OK();
 }
 
 Result<std::optional<Row>> HashGroupByOp::NextImpl() {
   if (emit_pos_ == index_.size()) return std::optional<Row>();
-  MRA_ASSIGN_OR_RETURN(Row row, EmitGroup(emit_pos_));
+  Row row{Tuple(), 1};
+  MRA_RETURN_IF_ERROR(EmitGroup(emit_pos_, row.tuple));
   ++emit_pos_;
   return std::optional<Row>(std::move(row));
 }
 
 Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
   while (!out.full() && emit_pos_ < index_.size()) {
-    MRA_ASSIGN_OR_RETURN(Row row, EmitGroup(emit_pos_));
-    ++emit_pos_;
     Row& slot = out.AppendSlot();
-    slot.tuple = std::move(row.tuple);
-    slot.count = row.count;
+    slot.count = 1;
+    Status s = EmitGroup(emit_pos_, slot.tuple);
+    if (!s.ok()) {
+      out.Truncate(out.size() - 1);
+      return s;
+    }
+    ++emit_pos_;
   }
   return Status::OK();
 }

@@ -524,11 +524,11 @@ class NestedLoopJoinOp final : public PhysicalOperator {
 /// multiplicity is the product of the matched input multiplicities
 /// (Definition 3.1 via Theorem 3.1's σ_φ(E1 × E2) equivalence).
 ///
-/// The build side lives in a recycled arena: a HashKeyIndex over the key
-/// projection plus per-key chains through flat row storage.  The native
-/// batch kernel pulls whole probe batches, hashes each probe row's key
-/// attributes in place (no key tuple materialised) and concatenates match
-/// rows into recycled output slots.
+/// The build side lives in a recycled JoinBuildTable: a HashKeyIndex over
+/// the key projection plus per-key chains through a flat row arena.  The
+/// native batch kernel pulls whole probe batches, hashes each probe row's
+/// key attributes in place (no key tuple materialised) and concatenates
+/// match rows into recycled output slots.
 class HashJoinOp final : public PhysicalOperator {
  public:
   /// `left_keys[i]` pairs with `right_keys[i]` (indexes are local to each
@@ -549,9 +549,9 @@ class HashJoinOp final : public PhysicalOperator {
   void CloseImpl() override;
 
  private:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
+  static constexpr size_t kNone = JoinBuildTable::kNone;
 
-  /// Appends probe ⊕ build_rows_[match] to `out` (recycled slot), applying
+  /// Appends probe ⊕ build row `match` to `out` (recycled slot), applying
   /// the residual; on residual rejection the slot is truncated back off.
   Result<bool> EmitMatch(const Row& probe, size_t match, RowBatch& out);
 
@@ -562,13 +562,7 @@ class HashJoinOp final : public PhysicalOperator {
   PhysOpPtr left_;
   PhysOpPtr right_;
 
-  // Build arena, all recycled across Opens: key index, per-key chain heads
-  // (id-indexed), flat build rows with next-links.
-  HashKeyIndex index_;
-  std::vector<size_t> heads_;
-  std::vector<Row> build_rows_;  // Parked past build_size_.
-  std::vector<size_t> next_;
-  size_t build_size_ = 0;
+  JoinBuildTable build_;  // Recycled across Opens.
 
   // Probe cursor, shared by both protocols: the current probe row and its
   // position in the match chain (kNone = fetch the next probe row).
@@ -663,8 +657,9 @@ class HashGroupByOp final : public PhysicalOperator {
   void CloseImpl() override;
 
  private:
-  /// The output row for one group id: key attributes ⊕ finished aggregates.
-  Result<Row> EmitGroup(size_t id);
+  /// Fills `out` (a recycled slot) with group id's output tuple: key
+  /// attributes ⊕ finished aggregates.
+  Status EmitGroup(size_t id, Tuple& out);
 
   std::vector<size_t> keys_;
   std::vector<AggSpec> aggs_;

@@ -137,14 +137,11 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
   }();
   uint64_t t4 = NowMicros();
   stats.exec_us = t4 - t3;
-  stats.total_us = t4 - t0;
   HarvestOpStats(*root, 0, &stats);
   if (result.ok()) {
     stats.result_rows = result->size();
     stats.valid = true;
   }
-  last_query_stats_ = std::move(stats);
-  QueryLatency()->Observe(last_query_stats_.total_us);
 
   obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Global();
   // A governed kill is always log-worthy while the log is enabled — the
@@ -153,8 +150,32 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
   const exec::KillReason kill_reason = gctx->kill_reason();
   const bool governed_kill =
       !result.ok() && kill_reason != exec::KillReason::kNone;
-  if ((result.ok() && slow_log.ShouldLog(last_query_stats_.total_us)) ||
-      (governed_kill && slow_log.enabled())) {
+  auto log_worthy = [&](uint64_t latency_us) {
+    return (result.ok() && slow_log.ShouldLog(latency_us)) ||
+           (governed_kill && slow_log.enabled());
+  };
+  // The plan snapshot needs the operator tree, which teardown releases,
+  // so it is taken for a query already past the threshold here; one that
+  // crosses it only during teardown is logged without a plan.
+  std::string plan_snapshot;
+  if (log_worthy(NowMicros() - t0)) {
+    plan_snapshot = exec::RenderPlanWithMetrics(*root);
+  }
+
+  // Teardown is a phase of its own: freeing the drained tree's hash
+  // arenas and buffers is real latency the caller waits for.
+  uint64_t t5 = NowMicros();
+  {
+    obs::ScopedSpan span("teardown");
+    root.reset();
+  }
+  uint64_t t6 = NowMicros();
+  stats.teardown_us = t6 - t5;
+  stats.total_us = t6 - t0;
+  last_query_stats_ = std::move(stats);
+  QueryLatency()->Observe(last_query_stats_.total_us);
+
+  if (log_worthy(last_query_stats_.total_us)) {
     obs::SlowQueryEntry entry;
     entry.query_id = last_query_stats_.query_id;
     entry.latency_us = last_query_stats_.total_us;
@@ -162,9 +183,10 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
     entry.optimize_us = last_query_stats_.optimize_us;
     entry.lower_us = last_query_stats_.lower_us;
     entry.exec_us = last_query_stats_.exec_us;
+    entry.teardown_us = last_query_stats_.teardown_us;
     entry.result_rows = last_query_stats_.result_rows;
     entry.source = current_source_;
-    entry.plan = exec::RenderPlanWithMetrics(*root);
+    entry.plan = std::move(plan_snapshot);
     if (governed_kill) {
       entry.events.push_back("killed:" +
                              std::string(exec::KillReasonName(kill_reason)));
@@ -397,23 +419,35 @@ Result<std::string> Interpreter::ExplainExpr(const RelExpr& expr,
     return exec::ExecuteToRelation(*physical, options_.exec.batch_size);
   }();
   uint64_t exec_us = NowMicros() - t0;
-  QueryLatency()->Observe(exec_us);
-  MRA_RETURN_IF_ERROR(result.status());
+  if (!result.ok()) {
+    QueryLatency()->Observe(exec_us);
+    return result.status();
+  }
 
   last_query_stats_ = QueryStats{};
   last_query_stats_.query_id = obs::CurrentQueryId();
   last_query_stats_.exec_us = exec_us;
-  last_query_stats_.total_us = exec_us;
   HarvestOpStats(*physical, 0, &last_query_stats_);
   last_query_stats_.result_rows = result->size();
   last_query_stats_.valid = true;
-
   out += "\nphysical plan (analyzed):\n" + exec::RenderPlanWithMetrics(*physical);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(exec_us) / 1e3);
+
+  // Teardown: release the rendered tree under its own timer, as
+  // EvaluateExpr does.
+  uint64_t t1 = NowMicros();
+  physical.reset();
+  const uint64_t teardown_us = NowMicros() - t1;
+  last_query_stats_.teardown_us = teardown_us;
+  last_query_stats_.total_us = exec_us + teardown_us;
+  QueryLatency()->Observe(last_query_stats_.total_us);
+
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%.3fms (teardown %.3fms)",
+                static_cast<double>(exec_us) / 1e3,
+                static_cast<double>(teardown_us) / 1e3);
   out += "result: " + std::to_string(result->size()) + " rows (" +
          std::to_string(result->distinct_size()) + " distinct), " + buf +
-         "ms\n";
+         "\n";
   return out;
 }
 

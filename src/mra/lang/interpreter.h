@@ -61,12 +61,16 @@ struct QueryStats {
   uint64_t query_id = 0;
   /// Multiplicity-weighted cardinality of the result.
   uint64_t result_rows = 0;
-  /// Wall time per phase (total = bind + optimize + lower + execute).
+  /// Wall time per phase (total = bind + optimize + lower + execute +
+  /// teardown, plus the stats harvest between execute and teardown).
   uint64_t total_us = 0;
   uint64_t bind_us = 0;
   uint64_t optimize_us = 0;
   uint64_t lower_us = 0;
   uint64_t exec_us = 0;
+  /// Releasing the drained operator tree: hash arenas, sort buffers, the
+  /// plan itself.
+  uint64_t teardown_us = 0;
   /// False until a physically-executed query completes.
   bool valid = false;
 };

@@ -38,6 +38,8 @@ std::string SlowQueryEntry::ToJsonLine() const {
   out += std::to_string(lower_us);
   out += ",\"exec_us\":";
   out += std::to_string(exec_us);
+  out += ",\"teardown_us\":";
+  out += std::to_string(teardown_us);
   out += ",\"result_rows\":";
   out += std::to_string(result_rows);
   out += ",\"source\":";

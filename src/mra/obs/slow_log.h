@@ -29,6 +29,7 @@ struct SlowQueryEntry {
   uint64_t optimize_us = 0;
   uint64_t lower_us = 0;
   uint64_t exec_us = 0;
+  uint64_t teardown_us = 0;
   uint64_t result_rows = 0;
   std::string source;         // Query text (truncated to kMaxFieldBytes).
   std::string plan;           // EXPLAIN ANALYZE snapshot, same truncation.

@@ -41,24 +41,12 @@ size_t RadixOf(size_t hash, size_t parts) {
   return (hash >> 48) & (parts - 1);
 }
 
-// Same coarse budget estimate the serial materialising operators use.
-uint64_t ApproxRowBytes(const Row& row) {
-  uint64_t bytes = sizeof(Row) + row.tuple.arity() * sizeof(Value);
-  for (const Value& v : row.tuple.values()) {
-    if (v.kind() == TypeKind::kString) bytes += v.string_value().capacity();
-  }
-  return bytes;
-}
-
 /// Per-lane footprints published by worker lanes and folded by lane 0.
 class LaneBytes {
  public:
   explicit LaneBytes(size_t lanes) : bytes_(lanes) {}
   void Set(size_t lane, uint64_t bytes) {
     bytes_[lane].store(bytes, std::memory_order_relaxed);
-  }
-  void Add(size_t lane, uint64_t bytes) {  // Single writer per lane.
-    Set(lane, bytes_[lane].load(std::memory_order_relaxed) + bytes);
   }
   uint64_t Total() const {
     uint64_t total = 0;
@@ -125,17 +113,6 @@ ParallelHashJoinOp::ParallelHashJoinOp(std::vector<size_t> left_keys,
       << "ParallelHashJoin requires at least one key pair";
 }
 
-void ParallelHashJoinOp::Partition::Insert(Row row,
-                                           const std::vector<size_t>& keys,
-                                           size_t hash) {
-  bool inserted = false;
-  size_t id = index.InsertKey(row.tuple, keys, hash, &inserted);
-  if (inserted) heads.push_back(kNone);
-  next.push_back(heads[id]);
-  heads[id] = rows.size();
-  rows.push_back(std::move(row));
-}
-
 Status ParallelHashJoinOp::OpenImpl() {
   partitions_.clear();
   probe_batch_.Clear();
@@ -165,49 +142,61 @@ Status ParallelHashJoinOp::Build() {
 
   if (parts == 1) {
     // One lane: insert straight into the single arena, no staging pass.
+    // Rows are copied out of the morsel, so its slots keep their buffers
+    // for the next refill.  The morsel is hashed and its home slots
+    // prefetched first, so the inserts overlap their cache misses.
     Partition& part = partitions_[0];
+    std::vector<size_t> hashes;
     MRA_RETURN_IF_ERROR(build_->Run(lease, [&](size_t, RowBatch& batch) {
-      for (Row& row : batch) {
-        size_t hash = row.tuple.HashKey(right_keys_);
-        part.Insert(std::move(row), right_keys_, hash);
+      hashes.resize(batch.size());
+      for (size_t r = 0; r < batch.size(); ++r) {
+        hashes[r] = batch[r].tuple.HashKey(right_keys_);
+        part.Prefetch(hashes[r]);
+      }
+      for (size_t r = 0; r < batch.size(); ++r) {
+        part.Insert(batch[r].tuple.view(), batch[r].count, right_keys_,
+                    hashes[r]);
       }
       return NoteHashFootprint(part.ApproxBytes());
     }));
     metrics_.cpu_ns += build_->sink_ns();
   } else {
-    // Lanes route build rows by radix into private staging; lane 0 charges
-    // the summed footprint as it grows.
+    // Lanes copy build rows, with their key hashes, into private flat
+    // staging routed by radix; lane 0 charges the summed footprint as it
+    // grows.
     const bool governed = ctx != nullptr;
     LaneBytes lane_bytes(lanes);
-    staged_.assign(lanes, std::vector<std::vector<Row>>(parts));
+    staged_.assign(lanes, std::vector<Staged>(parts));
     MRA_RETURN_IF_ERROR(
         build_->Run(lease, [&](size_t lane, RowBatch& batch) -> Status {
-          std::vector<std::vector<Row>>& stage = staged_[lane];
-          uint64_t bytes = 0;
-          for (Row& row : batch) {
-            size_t p = RadixOf(row.tuple.HashKey(right_keys_), parts);
-            if (governed) bytes += ApproxRowBytes(row);
-            stage[p].push_back(std::move(row));
+          std::vector<Staged>& stage = staged_[lane];
+          for (const Row& row : batch) {
+            size_t hash = row.tuple.HashKey(right_keys_);
+            Staged& to = stage[RadixOf(hash, parts)];
+            to.rows.Append(row.tuple.view(), row.count);
+            to.hashes.push_back(hash);
           }
           if (!governed) return Status::OK();
-          lane_bytes.Add(lane, bytes);
+          uint64_t bytes = 0;
+          for (const Staged& st : stage) bytes += st.ApproxBytes();
+          lane_bytes.Set(lane, bytes);
           return lane == 0 ? ChargeMemTo(lane_bytes.Total()) : Status::OK();
         }));
     metrics_.cpu_ns += build_->sink_ns();
     if (governed) MRA_RETURN_IF_ERROR(ChargeMemTo(lane_bytes.Total()));
 
     // Finish: one arena per partition, each built by exactly one lane from
-    // every lane's staged rows, releasing staged storage as it goes so the
-    // peak is staged + one arena, not 2x.
+    // every lane's staged rows.  The staged values move in (the first
+    // lane's arena is taken over whole) and are chained by their stored
+    // hashes, so nothing is re-hashed or copied, and staged storage is
+    // released as it goes.
     MRA_RETURN_IF_ERROR(ForEachPartition(
         lease, parts, ctx, &metrics_.cpu_ns, [&](size_t p) {
           Partition& part = partitions_[p];
           for (size_t l = 0; l < lanes; ++l) {
-            for (Row& row : staged_[l][p]) {
-              size_t hash = row.tuple.HashKey(right_keys_);
-              part.Insert(std::move(row), right_keys_, hash);
-            }
-            staged_[l][p] = std::vector<Row>();
+            Staged& st = staged_[l][p];
+            part.InsertAll(st.rows, st.hashes, right_keys_);
+            st = Staged();
           }
         }));
   }
@@ -215,7 +204,7 @@ Status ParallelHashJoinOp::Build() {
   size_t entries = 0;
   for (const Partition& part : partitions_) {
     arena_bytes += part.ApproxBytes();
-    entries += part.index.size();
+    entries += part.keys();
   }
   metrics_.build_rows = build_->sink_rows();
   metrics_.peak_hash_entries = entries;
@@ -223,14 +212,13 @@ Status ParallelHashJoinOp::Build() {
 }
 
 void ParallelHashJoinOp::Prefetch(size_t hash) const {
-  partitions_[RadixOf(hash, partitions_.size())].index.Prefetch(hash);
+  partitions_[RadixOf(hash, partitions_.size())].Prefetch(hash);
 }
 
 size_t ParallelHashJoinOp::FindChain(const Tuple& probe, size_t hash,
                                      const Partition** part) const {
   *part = &partitions_[RadixOf(hash, partitions_.size())];
-  size_t id = (*part)->index.FindKey(probe, left_keys_, hash);
-  return id == HashKeyIndex::kNotFound ? kNone : (*part)->heads[id];
+  return (*part)->FindChain(probe.view(), left_keys_, hash);
 }
 
 Result<std::optional<Row>> ParallelHashJoinOp::NextImpl() {
@@ -242,15 +230,15 @@ Result<std::optional<Row>> ParallelHashJoinOp::NextImpl() {
       chain_ = FindChain(current_left_->tuple, &chain_part_);
       continue;
     }
-    const Row& rhs = chain_part_->rows[chain_];
-    chain_ = chain_part_->next[chain_];
-    Tuple combined = current_left_->tuple.Concat(rhs.tuple);
+    const size_t match = chain_;
+    chain_ = chain_part_->next(match);
+    Row row{Tuple(), current_left_->count * chain_part_->count(match)};
+    row.tuple.AssignConcat(current_left_->tuple, chain_part_->row(match));
     if (residual_ != nullptr) {
-      MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, combined));
+      MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, row.tuple));
       if (!keep) continue;
     }
-    return std::optional<Row>(
-        Row{std::move(combined), current_left_->count * rhs.count});
+    return std::optional<Row>(std::move(row));
   }
 }
 
@@ -272,15 +260,14 @@ Status ParallelHashJoinOp::NextBatchImpl(RowBatch& out) {
     // Concat into a recycled slot; on residual rejection truncate it back
     // off (the exec::HashJoinOp::EmitMatch idiom).
     const Row& probe = probe_batch_[probe_pos_];
-    const Row& rhs = chain_part_->rows[chain_];
     Row& slot = out.AppendSlot();
-    slot.tuple.AssignConcat(probe.tuple, rhs.tuple);
-    slot.count = probe.count * rhs.count;
+    slot.tuple.AssignConcat(probe.tuple, chain_part_->row(chain_));
+    slot.count = probe.count * chain_part_->count(chain_);
     if (residual_ != nullptr) {
       MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
       if (!keep) out.Truncate(out.size() - 1);
     }
-    chain_ = chain_part_->next[chain_];
+    chain_ = chain_part_->next(chain_);
     if (chain_ == kNone) ++probe_pos_;
   }
   return Status::OK();
@@ -353,14 +340,24 @@ Status ParallelHashGroupByOp::Aggregate() {
   // partitioning, so partial per-lane states are exact. ---
   lane_tables_.resize(lanes);
   for (auto& tables : lane_tables_) tables = std::vector<GroupTable>(parts);
+  std::vector<std::vector<size_t>> lane_hashes(lanes);
   MRA_RETURN_IF_ERROR(
       input_->Run(lease, [&](size_t lane, RowBatch& batch) -> Status {
         std::vector<GroupTable>& tables = lane_tables_[lane];
-        for (const Row& row : batch) {
-          size_t hash = row.tuple.HashKey(keys_);
+        // Hash and prefetch the whole morsel first, as δ's sink does.
+        std::vector<size_t>& hashes = lane_hashes[lane];
+        hashes.resize(batch.size());
+        for (size_t r = 0; r < batch.size(); ++r) {
+          hashes[r] = batch[r].tuple.HashKey(keys_);
+          tables[RadixOf(hashes[r], parts)].index.Prefetch(hashes[r]);
+        }
+        for (size_t r = 0; r < batch.size(); ++r) {
+          const Row& row = batch[r];
+          const size_t hash = hashes[r];
           GroupTable& table = tables[RadixOf(hash, parts)];
           bool inserted = false;
-          size_t id = table.index.InsertKey(row.tuple, keys_, hash, &inserted);
+          size_t id =
+              table.index.InsertKey(row.tuple.view(), keys_, hash, &inserted);
           if (inserted) {
             for (size_t i = 0; i < num_aggs; ++i) {
               table.accs.emplace_back(aggs_[i].kind, agg_types_[i]);
@@ -441,25 +438,25 @@ Status ParallelHashGroupByOp::Aggregate() {
   return ChargeMemTo(merged_bytes);
 }
 
-Result<Row> ParallelHashGroupByOp::EmitGroup(const GroupTable& table,
-                                             size_t id) {
+Status ParallelHashGroupByOp::EmitGroup(const GroupTable& table, size_t id,
+                                        Tuple& out) {
   // Finish() is where Def 3.3's partiality surfaces: AVG/MIN/MAX over an
   // empty group return kUndefined, which propagates out of Next/NextBatch.
-  std::vector<Value> values = table.index.key(id).values();
-  values.reserve(keys_.size() + aggs_.size());
+  out.Assign(table.index.key(id));
   for (size_t i = 0; i < aggs_.size(); ++i) {
     MRA_ASSIGN_OR_RETURN(Value v,
                          table.accs[id * aggs_.size() + i].Finish());
-    values.push_back(std::move(v));
+    out.Append(std::move(v));
   }
-  return Row{Tuple(std::move(values)), 1};
+  return Status::OK();
 }
 
 Result<std::optional<Row>> ParallelHashGroupByOp::NextImpl() {
   while (emit_part_ < merged_.size()) {
     if (emit_pos_ < merged_[emit_part_].index.size()) {
-      MRA_ASSIGN_OR_RETURN(Row row,
-                           EmitGroup(merged_[emit_part_], emit_pos_));
+      Row row{Tuple(), 1};
+      MRA_RETURN_IF_ERROR(
+          EmitGroup(merged_[emit_part_], emit_pos_, row.tuple));
       ++emit_pos_;
       return std::optional<Row>(std::move(row));
     }
@@ -477,11 +474,14 @@ Status ParallelHashGroupByOp::NextBatchImpl(RowBatch& out) {
       emit_pos_ = 0;
       continue;
     }
-    MRA_ASSIGN_OR_RETURN(Row row, EmitGroup(merged_[emit_part_], emit_pos_));
-    ++emit_pos_;
     Row& slot = out.AppendSlot();
-    slot.tuple = std::move(row.tuple);
-    slot.count = row.count;
+    slot.count = 1;
+    Status s = EmitGroup(merged_[emit_part_], emit_pos_, slot.tuple);
+    if (!s.ok()) {
+      out.Truncate(out.size() - 1);
+      return s;
+    }
+    ++emit_pos_;
   }
   return Status::OK();
 }
@@ -546,8 +546,8 @@ Status ParallelDedupOp::Deduplicate() {
         }
         for (size_t r = 0; r < batch.size(); ++r) {
           bool inserted = false;
-          seen[RadixOf(hashes[r], parts)].InsertKey(batch[r].tuple, identity_,
-                                                    hashes[r], &inserted);
+          seen[RadixOf(hashes[r], parts)].InsertKey(
+              batch[r].tuple.view(), identity_, hashes[r], &inserted);
         }
         if (!governed) return Status::OK();
         uint64_t bytes = 0;
@@ -593,8 +593,9 @@ Status ParallelDedupOp::Deduplicate() {
 Result<std::optional<Row>> ParallelDedupOp::NextImpl() {
   while (emit_part_ < merged_.size()) {
     if (emit_pos_ < merged_[emit_part_].size()) {
-      return std::optional<Row>(
-          Row{merged_[emit_part_].key(emit_pos_++), 1});
+      Row row{Tuple(), 1};
+      row.tuple.Assign(merged_[emit_part_].key(emit_pos_++));
+      return std::optional<Row>(std::move(row));
     }
     ++emit_part_;
     emit_pos_ = 0;
@@ -611,7 +612,7 @@ Status ParallelDedupOp::NextBatchImpl(RowBatch& out) {
       continue;
     }
     Row& slot = out.AppendSlot();
-    slot.tuple = merged_[emit_part_].key(emit_pos_++);
+    slot.tuple.Assign(merged_[emit_part_].key(emit_pos_++));
     slot.count = 1;
   }
   return Status::OK();

@@ -80,21 +80,20 @@ class ParallelHashJoinOp final : public exec::PhysicalOperator {
  private:
   friend class Pipeline;  // Fuses the probe into its lanes.
 
-  static constexpr size_t kNone = static_cast<size_t>(-1);
+  static constexpr size_t kNone = exec::JoinBuildTable::kNone;
 
-  /// One radix partition's build arena: the same key-index + chained flat
-  /// rows layout as exec::HashJoinOp, private to the lane that built it
-  /// and read-only during the probe.
-  struct Partition {
-    exec::HashKeyIndex index;
-    std::vector<size_t> heads;
-    std::vector<exec::Row> rows;
-    std::vector<size_t> next;
-    void Insert(exec::Row row, const std::vector<size_t>& keys, size_t hash);
+  /// One radix partition's build arena: the same JoinBuildTable as
+  /// exec::HashJoinOp, private to the lane that built it and read-only
+  /// during the probe.
+  using Partition = exec::JoinBuildTable;
+
+  /// One lane's build rows bound for one partition, copied out of the
+  /// morsel into a flat arena, with each row's key hash.
+  struct Staged {
+    exec::RowArena rows;
+    std::vector<size_t> hashes;
     size_t ApproxBytes() const {
-      return index.ApproxBytes() + heads.capacity() * sizeof(size_t) +
-             next.capacity() * sizeof(size_t) +
-             rows.capacity() * sizeof(exec::Row);
+      return rows.ApproxBytes() + hashes.capacity() * sizeof(size_t);
     }
   };
 
@@ -125,7 +124,7 @@ class ParallelHashJoinOp final : public exec::PhysicalOperator {
   bool fused_ = false;
 
   // Open-time state, cleared on Close.
-  std::vector<std::vector<std::vector<exec::Row>>> staged_;  // [lane][p]
+  std::vector<std::vector<Staged>> staged_;  // [lane][p]
   std::vector<Partition> partitions_;
 
   // Caller-thread probe cursor (unfused): the current probe row and its
@@ -174,7 +173,9 @@ class ParallelHashGroupByOp final : public exec::PhysicalOperator {
     }
   };
 
-  Result<exec::Row> EmitGroup(const GroupTable& table, size_t id);
+  /// Fills `out` (a recycled slot) with the output tuple of `table`'s
+  /// group id: key attributes ⊕ finished aggregates.
+  Status EmitGroup(const GroupTable& table, size_t id, Tuple& out);
 
   /// Runs the input pipeline and the merge phase.
   Status Aggregate();

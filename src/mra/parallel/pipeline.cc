@@ -204,11 +204,10 @@ Status Pipeline::Probe(size_t lane, Lane& state, size_t i, RowBatch& batch,
     const Row& probe = batch[r];
     const ParallelHashJoinOp::Partition* part = nullptr;
     for (size_t m = join.FindChain(probe.tuple, hashes[r], &part);
-         m != ParallelHashJoinOp::kNone; m = part->next[m]) {
-      const Row& rhs = part->rows[m];
+         m != ParallelHashJoinOp::kNone; m = part->next(m)) {
       Row& slot = out.AppendSlot();
-      slot.tuple.AssignConcat(probe.tuple, rhs.tuple);
-      slot.count = probe.count * rhs.count;
+      slot.tuple.AssignConcat(probe.tuple, part->row(m));
+      slot.count = probe.count * part->count(m);
       if (join.residual_ != nullptr) {
         MRA_ASSIGN_OR_RETURN(bool keep,
                              EvalPredicate(*join.residual_, slot.tuple));

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -26,6 +28,7 @@
 #include "mra/obs/metrics.h"
 #include "mra/obs/slow_log.h"
 #include "mra/obs/trace.h"
+#include "mra/parallel/parallel_ops.h"
 #include "mra/txn/database.h"
 
 namespace mra {
@@ -362,13 +365,16 @@ TEST_F(GovernanceTest, ExplainAnalyzeIsGovernedPlainExplainIsNot) {
 
 // --- Spill governance: budget-pressure spill and kill-mid-spill. ---------
 
-// Run files the sort spilled and did not reclaim (both published runs and
-// in-flight .tmp files land under the mra_sort_ prefix).
+// Run files this process's sorts spilled and did not reclaim (published
+// runs and in-flight .tmp files alike land under mra_sort_<pid>_).  Other
+// test processes sharing the temp directory under `ctest -j` are not
+// counted.
 size_t LeakedRunFiles() {
+  const std::string prefix = "mra_sort_" + std::to_string(::getpid()) + "_";
   size_t n = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::filesystem::temp_directory_path())) {
-    if (entry.path().filename().string().rfind("mra_sort_", 0) == 0) ++n;
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
   }
   return n;
 }
@@ -451,6 +457,65 @@ TEST_F(GovernanceTest, CancelLandsInsideASpillingSort) {
   ASSERT_FALSE(killed.ok());
   EXPECT_EQ(killed.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(LeakedRunFiles(), files_before);
+}
+
+TEST_F(GovernanceTest, JoinBuildChargesItsRowValues) {
+  // A join's build must charge the values it keeps, not only the table's
+  // handles: 2000 build rows with a 1000-byte string payload each hold at
+  // least 2 MB however they are laid out.  A build charged for its slot,
+  // chain and row-handle arrays alone stays far below that and would run
+  // past the budget undetected; charged for its value arena plus string
+  // payloads it must trip, in every join kernel, and unwind with nothing
+  // left charged.
+  RelationSchema build_schema("build", {Attribute{"k", Type::Int()},
+                                        Attribute{"payload", Type::String()}});
+  Relation build(build_schema);
+  constexpr size_t kRows = 2000;
+  constexpr size_t kPayload = 1000;
+  for (size_t i = 0; i < kRows; ++i) {
+    std::string payload(kPayload, static_cast<char>('a' + i % 26));
+    build.InsertUnchecked(Tuple({Value::Int(static_cast<int64_t>(i)),
+                                 Value::Str(std::move(payload))}),
+                          1);
+  }
+  RelationSchema probe_schema("probe", {Attribute{"k", Type::Int()}});
+  Relation probe(probe_schema);
+  probe.InsertUnchecked(Tuple({Value::Int(1)}), 1);
+  const uint64_t budget = kRows * kPayload;
+
+  auto make = [&](size_t workers) -> PhysOpPtr {
+    auto left = std::make_unique<ScanOp>(&probe);
+    auto right = std::make_unique<ScanOp>(&build);
+    if (workers == 0) {
+      return std::make_unique<HashJoinOp>(std::vector<size_t>{0},
+                                          std::vector<size_t>{0}, nullptr,
+                                          std::move(left), std::move(right));
+    }
+    return std::make_unique<parallel::ParallelHashJoinOp>(
+        std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+        std::move(left), std::move(right), workers, 64);
+  };
+  for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
+    // Ungoverned, the same join succeeds: the budget is the only reason
+    // for the kill below.
+    PhysOpPtr free_op = make(workers);
+    auto ok = ExecuteToRelation(*free_op);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok->size(), 1u);
+
+    ExecContext ctx;
+    ctx.SetMemoryBudget(budget);
+    PhysOpPtr op = make(workers);
+    op->SetExecContext(&ctx);
+    auto killed = ExecuteToRelation(*op);
+    ASSERT_FALSE(killed.ok()) << "workers=" << workers
+                              << ": build ran past the budget";
+    EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted)
+        << killed.status().ToString();
+    EXPECT_NE(killed.status().message().find("budget"), std::string::npos);
+    EXPECT_EQ(ctx.mem_used(), 0u) << "workers=" << workers
+                                  << " leaked charged bytes";
+  }
 }
 
 TEST_F(GovernanceTest, HashPeakBytesGaugeTracksLiveGrowth) {

@@ -17,12 +17,15 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <unordered_map>
 
 #include "mra/algebra/ops.h"
 #include "mra/exec/operator.h"
+#include "mra/exec/hash_table.h"
 #include "mra/exec/physical_planner.h"
 #include "mra/lang/interpreter.h"
 #include "mra/obs/metrics.h"
+#include "mra/parallel/parallel_ops.h"
 #include "mra/setalg/set_ops.h"
 #include "mra/sql/translator.h"
 #include "test_util.h"
@@ -35,6 +38,7 @@ using ::mra::testing::IntRel;
 using ::mra::testing::IntTuple;
 using ::mra::testing::PaperBeerDb;
 using ::mra::testing::RandomIntRelation;
+using ::mra::testing::RandomMixedRelation;
 
 // Input profiles: multiplicity 1 degenerates to set behaviour on δ-free
 // plans, 5 exercises ordinary bags, the huge profile guards the count
@@ -319,6 +323,164 @@ TEST(HashOpsTest, OperatorReopenRecyclesArena) {
   auto g2 = ExecuteToRelation(gb);
   ASSERT_OK(g2);
   EXPECT_REL_EQ(*g1, *g2);
+}
+
+// --- Flat hash arenas (mra/exec/hash_table.h). ---
+
+Tuple Materialize(TupleView view) {
+  return Tuple(std::vector<Value>(view.begin(), view.end()));
+}
+
+/// (string, int) rows whose strings are too long for the small-string
+/// buffer, so the arenas own heap payloads (what ASan watches on moves).
+Tuple LongStringRow(int i) {
+  return Tuple({Value::Str("a-key-long-enough-to-live-on-the-heap-" +
+                           std::to_string(i)),
+                Value::Int(i % 3)});
+}
+
+TEST(HashArenaTest, StringMixedAndMultiAttributeKeys) {
+  std::mt19937_64 rng(5);
+  Relation mixed = RandomMixedRelation(rng, 400, 3);
+  ASSERT_GT(mixed.distinct_size(), 0u);
+  // The string column alone, every column of every type, a permuted
+  // multi-attribute key with a repeat, and the empty key (one group).
+  const std::vector<std::vector<size_t>> keys = {
+      {3}, {0, 1, 2, 3, 4, 5}, {5, 3, 1, 3}, {}};
+  for (const std::vector<size_t>& attrs : keys) {
+    HashKeyIndex index;
+    std::unordered_map<Tuple, size_t, TupleHash, TupleEq> reference;
+    for (const auto& [row, m] : mixed) {
+      bool inserted = false;
+      size_t id = index.InsertKey(row, attrs, &inserted);
+      auto [it, fresh] =
+          reference.emplace(row.Project(attrs), reference.size());
+      EXPECT_EQ(inserted, fresh);
+      EXPECT_EQ(id, it->second);
+    }
+    ASSERT_EQ(index.size(), reference.size());
+    for (const auto& [key, id] : reference) {
+      EXPECT_EQ(Materialize(index.key(id)), key);
+    }
+    for (const auto& [row, m] : mixed) {
+      EXPECT_EQ(index.FindKey(row, attrs), reference.at(row.Project(attrs)));
+    }
+    if (!attrs.empty()) {
+      Tuple absent({Value::Bool(true), Value::Int(99), Value::Real(-1.0),
+                    Value::Str("not-a-generated-string"),
+                    Value::DecimalScaled(1), Value::Date(1)});
+      EXPECT_EQ(index.FindKey(absent, attrs), HashKeyIndex::kNotFound);
+    }
+  }
+}
+
+TEST(HashArenaTest, AbsorbMovesStringKeysAndMapsIds) {
+  const std::vector<size_t> attrs = {0, 1};
+  HashKeyIndex into, from;
+  bool inserted = false;
+  for (int i = 0; i < 100; ++i) {
+    into.InsertKey(LongStringRow(i), attrs, &inserted);
+  }
+  for (int i = 50; i < 200; ++i) {
+    from.InsertKey(LongStringRow(i), attrs, &inserted);
+  }
+  std::vector<size_t> ids;
+  into.Absorb(from, &ids);
+  // Keys 50..99 were known (ids 50..99); keys 100..199 are new and take
+  // the next ids in from's order — so key i has id i throughout.
+  ASSERT_EQ(ids.size(), 150u);
+  EXPECT_EQ(into.size(), 200u);
+  for (int i = 50; i < 200; ++i) {
+    EXPECT_EQ(ids[i - 50], static_cast<size_t>(i));
+    EXPECT_EQ(into.FindKey(LongStringRow(i), attrs), static_cast<size_t>(i));
+    EXPECT_EQ(Materialize(into.key(i)), LongStringRow(i));
+  }
+  // The source is left empty with its storage released, and reusable.
+  EXPECT_TRUE(from.empty());
+  EXPECT_EQ(from.ApproxBytes(), 0u);
+  from.InsertKey(LongStringRow(7), attrs, &inserted);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(Materialize(from.key(0)), LongStringRow(7));
+  // Absorbing into an empty index takes the keys over in order.
+  HashKeyIndex fresh;
+  fresh.Absorb(into, &ids);
+  ASSERT_EQ(fresh.size(), 200u);
+  for (size_t i = 0; i < 200; ++i) EXPECT_EQ(ids[i], i);
+  EXPECT_EQ(Materialize(fresh.key(150)), LongStringRow(150));
+}
+
+TEST(HashArenaTest, ResetKeepsCapacityAndReproducesIds) {
+  const std::vector<size_t> attrs = {1, 0};
+  HashKeyIndex index;
+  auto fill = [&] {
+    std::vector<size_t> ids;
+    bool inserted = false;
+    for (int i = 0; i < 500; ++i) {
+      ids.push_back(index.InsertKey(LongStringRow(i % 321), attrs, &inserted));
+    }
+    return ids;
+  };
+  std::vector<size_t> first = fill();
+  const size_t bytes = index.ApproxBytes();
+  index.Reset();
+  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.FindKey(LongStringRow(1), attrs), HashKeyIndex::kNotFound);
+  // Parked: the arenas and the slot array keep their capacity, so only
+  // the string payloads leave the footprint.
+  EXPECT_GT(index.ApproxBytes(), 0u);
+  EXPECT_LT(index.ApproxBytes(), bytes);
+  std::vector<size_t> second = fill();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(index.size(), 321u);
+  EXPECT_EQ(index.ApproxBytes(), bytes);  // Refilled without growing.
+}
+
+TEST(HashArenaTest, JoinDuplicateKeysHugeMultiplicitiesAcrossLanes) {
+  // Few key values on both sides (long chains per key), multiplicities up
+  // to 1e6 (products up to 1e12), string and int keys: the serial kernel
+  // and the partitioned one at 1 and 4 lanes must all yield exactly the
+  // Def 3.1 bag — the build's staged arenas, moved into the partitions by
+  // RowArena::AppendFrom, included.
+  auto with_strings = [](const Relation& ints) {
+    Relation out(RelationSchema(
+        "strs", {{"s", Type::String()}, {"i", Type::Int()}}));
+    for (const auto& [row, m] : ints) {
+      out.InsertUnchecked(
+          Tuple({Value::Str("key-payload-well-past-sso-" +
+                            std::to_string(row.at(0).int_value())),
+                 row.at(1)}),
+          m);
+    }
+    return out;
+  };
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    std::mt19937_64 rng(seed);
+    Relation r_int = RandomIntRelation(rng, 2, 400, 6, 1'000'000);
+    Relation s_int = RandomIntRelation(rng, 2, 400, 6, 1'000'000);
+    for (bool strings : {false, true}) {
+      Relation r = strings ? with_strings(r_int) : r_int;
+      Relation s = strings ? with_strings(s_int) : s_int;
+      auto oracle = ops::Join(Eq(Attr(0), Attr(2)), r, s);
+      ASSERT_OK(oracle);
+      ExpectOperatorResult(
+          [&] {
+            return std::make_unique<HashJoinOp>(
+                std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+                std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s));
+          },
+          *oracle, "serial join, duplicate keys");
+      for (size_t lanes : {size_t{1}, size_t{4}}) {
+        ExpectOperatorResult(
+            [&] {
+              return std::make_unique<parallel::ParallelHashJoinOp>(
+                  std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+                  std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s),
+                  lanes, 16);
+            },
+            *oracle, lanes == 1 ? "1-lane join" : "4-lane join");
+      }
+    }
+  }
 }
 
 TEST(HashOpsTest, HashMetricsSurfaceInRegistryAndOperator) {

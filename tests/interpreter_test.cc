@@ -278,6 +278,40 @@ TEST_F(InterpreterTest, QueryStatsCaptureLastPhysicalExecution) {
   EXPECT_TRUE(saw_join);
 }
 
+TEST_F(InterpreterTest, TeardownIsATimedPhaseInsideTotal) {
+  // δ over a 200k-row relation leaves a 200k-key hash arena behind the
+  // drained tree; releasing it is the teardown phase, timed inside
+  // total_us rather than after it.
+  Relation big(RelationSchema("big", {{"a", Type::Int()}, {"b", Type::Int()}}));
+  for (int64_t i = 0; i < 200'000; ++i) {
+    big.InsertUnchecked(Tuple({Value::Int(i), Value::Int(i % 7)}), 1 + i % 3);
+  }
+  ASSERT_OK(db_->CreateRelation(big.schema()));
+  {
+    auto txn = db_->Begin();
+    ASSERT_OK(txn);
+    ASSERT_OK((*txn)->Insert("big", big));
+    ASSERT_OK((*txn)->Commit());
+  }
+  auto result = Query("unique(big)");
+  ASSERT_OK(result);
+  EXPECT_EQ(result->size(), 200'000u);
+  const QueryStats& stats = interp_->last_query_stats();
+  ASSERT_TRUE(stats.valid);
+  EXPECT_GT(stats.teardown_us, 0u);
+  EXPECT_GE(stats.total_us, stats.bind_us + stats.optimize_us +
+                                stats.lower_us + stats.exec_us +
+                                stats.teardown_us);
+
+  // EXPLAIN ANALYZE times and shows the same phase.
+  auto out = interp_->ExplainAnalyze("unique(big)");
+  ASSERT_OK(out);
+  EXPECT_NE(out->find("(teardown "), std::string::npos) << *out;
+  EXPECT_GE(interp_->last_query_stats().total_us,
+            interp_->last_query_stats().exec_us +
+                interp_->last_query_stats().teardown_us);
+}
+
 TEST_F(InterpreterTest, ExplainAnalyzeStatementReturnsPlanRelation) {
   auto results = interp_->ExecuteScriptCollect(
       "explain analyze select(%3 > 4.5, beer);");

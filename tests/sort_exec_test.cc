@@ -19,6 +19,7 @@
 #include "mra/exec/sort.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <functional>
@@ -272,11 +273,14 @@ TEST(SortContractTest, SpilledReopenReplaysAndRewritesRuns) {
 TEST(SortContractTest, RunFilesAreRemovedOnClose) {
   std::mt19937_64 rng(11);
   Relation r = RandomIntRelation(rng, 2, 300, 50, 3);
+  // Only this process's runs (mra_sort_<pid>_…): other test processes
+  // share the temp directory under `ctest -j`.
   auto leftover = [] {
+    const std::string prefix = "mra_sort_" + std::to_string(::getpid()) + "_";
     size_t n = 0;
     for (const auto& entry : std::filesystem::directory_iterator(
              std::filesystem::temp_directory_path())) {
-      if (entry.path().filename().string().rfind("mra_sort_", 0) == 0) ++n;
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
     }
     return n;
   };
