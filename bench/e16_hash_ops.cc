@@ -1,15 +1,17 @@
-// E16 — hash-based batch kernels vs the legacy operators.
+// E16 — the hash kernels vs the hash-free ways to compute the same bags.
 //
 // Two head-to-head comparisons, both with asserted result identity:
 //
 //  * equi-join: HashJoinOp (build right, probe left, counts multiply per
 //    Def 3.1) against the definitional σ_φ(E1 × E2) nested-loop plan the
-//    planner would otherwise emit.  The nested loop is O(|E1|·|E2|), so
-//    the join inputs are sized at rows/250 per side (4000 at the 1M
-//    default) — large enough that hashing's O(|E1|+|E2|) shows, small
-//    enough that the quadratic baseline terminates.
-//  * δ (unique): the streaming hash DedupOp against SortDedupOp, the
-//    sort-based fallback, at the full row count.
+//    planner emits for a predicate it cannot hash.  The nested loop is
+//    O(|E1|·|E2|), so the join inputs are sized at rows/250 per side (4000
+//    at the 1M default) — large enough that hashing's O(|E1|+|E2|) shows,
+//    small enough that the quadratic baseline terminates.
+//  * δ (unique): DedupOp against sort-based δ — SortOp over every
+//    attribute, then an adjacent-unique pass — at the full row count.
+//
+// Both hash kernels run on one lane, the serial configuration.
 //
 // The acceptance bar for both is >= 2x at the 1M scale; "REGRESSION" is
 // printed when a hash kernel is *slower* than its baseline, so the CI
@@ -24,12 +26,15 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <string>
 
 #include "bench_util.h"
 #include "mra/algebra/ops.h"
 #include "mra/exec/operator.h"
+#include "mra/exec/sort.h"
 #include "mra/expr/scalar_expr.h"
+#include "mra/parallel/parallel_ops.h"
 
 namespace mra {
 namespace bench {
@@ -49,7 +54,7 @@ Relation MakeInput(size_t distinct, int64_t value_range, uint64_t seed,
 }
 
 exec::PhysOpPtr BuildHashJoin(const Relation* left, const Relation* right) {
-  return std::make_unique<exec::HashJoinOp>(
+  return std::make_unique<parallel::HashJoinOp>(
       std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
       std::make_unique<exec::ScanOp>(left),
       std::make_unique<exec::ScanOp>(right));
@@ -63,39 +68,79 @@ exec::PhysOpPtr BuildNestedLoopJoin(const Relation* left,
 }
 
 exec::PhysOpPtr BuildHashDedup(const Relation* input) {
-  return std::make_unique<exec::DedupOp>(
-      std::make_unique<exec::ScanOp>(input));
-}
-
-exec::PhysOpPtr BuildSortDedup(const Relation* input) {
-  return std::make_unique<exec::SortDedupOp>(
+  return std::make_unique<parallel::DedupOp>(
       std::make_unique<exec::ScanOp>(input));
 }
 
 /// Drains the tree through the batch protocol, returning the weighted row
-/// count so the work cannot be optimised away.
-uint64_t Drain(exec::PhysicalOperator& root) {
+/// count so the work cannot be optimised away; with `out` non-null the
+/// output bag is collected there too.
+uint64_t Drain(exec::PhysicalOperator& root, Relation* out = nullptr) {
+  if (out != nullptr) *out = Relation(root.schema());
   MRA_CHECK(root.Open().ok());
   exec::RowBatch batch;
   uint64_t weighted = 0;
   while (true) {
     MRA_CHECK(root.NextBatch(batch).ok());
     if (batch.empty()) break;
-    for (const exec::Row& row : batch) weighted += row.count;
+    for (const exec::Row& row : batch) {
+      weighted += row.count;
+      if (out != nullptr) out->InsertUnchecked(row.tuple, row.count);
+    }
   }
   root.Close();
   return weighted;
 }
 
-using OpFactory = std::function<exec::PhysOpPtr()>;
+/// The input sorted on every attribute: the first half of δ without a
+/// hash table.
+exec::PhysOpPtr BuildSortAll(const Relation* input) {
+  std::vector<size_t> all(input->schema().arity());
+  std::iota(all.begin(), all.end(), size_t{0});
+  return std::make_unique<exec::SortOp>(
+      all, std::vector<bool>(all.size(), false), /*limit=*/0,
+      /*spill_bytes=*/0, std::make_unique<exec::ScanOp>(input));
+}
 
-/// Best-of-3 wall-clock seconds to drain a freshly built tree.
-double SecondsToDrain(const OpFactory& make, uint64_t* weighted_out) {
+/// The second half: drains a sorted tree keeping each tuple that differs
+/// from its predecessor, with multiplicity 1 (adjacent unique).  Returns
+/// the distinct count; with `out` non-null the δ bag is collected there.
+uint64_t DrainUnique(exec::PhysicalOperator& sorted, Relation* out) {
+  if (out != nullptr) *out = Relation(sorted.schema());
+  MRA_CHECK(sorted.Open().ok());
+  exec::RowBatch batch;
+  Tuple prev;
+  uint64_t distinct = 0;
+  while (true) {
+    MRA_CHECK(sorted.NextBatch(batch).ok());
+    if (batch.empty()) break;
+    for (const exec::Row& row : batch) {
+      if (distinct > 0 && row.tuple.Equals(prev)) continue;
+      ++distinct;
+      prev = row.tuple;
+      if (out != nullptr) out->InsertUnchecked(row.tuple, 1);
+    }
+  }
+  sorted.Close();
+  return distinct;
+}
+
+/// One side of a comparison: the tree to build, and how to drain it —
+/// returning the weighted output cardinality, and collecting the output
+/// bag into `out` when it is non-null.
+struct Kernel {
+  std::function<exec::PhysOpPtr()> make;
+  std::function<uint64_t(exec::PhysicalOperator&, Relation*)> drain;
+};
+
+/// Best-of-3 wall-clock seconds to drain a freshly built tree (building
+/// and destroying it are not timed).
+double SecondsToRun(const Kernel& kernel, uint64_t* weighted_out) {
   double best = 1e30;
   for (int rep = 0; rep < 3; ++rep) {
-    exec::PhysOpPtr root = make();
+    exec::PhysOpPtr root = kernel.make();
     auto start = std::chrono::steady_clock::now();
-    *weighted_out = Drain(*root);
+    *weighted_out = kernel.drain(*root, nullptr);
     auto end = std::chrono::steady_clock::now();
     best = std::min(best,
                     std::chrono::duration<double>(end - start).count());
@@ -103,36 +148,38 @@ double SecondsToDrain(const OpFactory& make, uint64_t* weighted_out) {
   return best;
 }
 
-/// Times hash vs legacy, asserts identical result multisets, prints one
-/// summary row, and flags a regression when hash is slower.
-void Compare(const char* label, size_t scale, const OpFactory& hash,
-             const OpFactory& legacy) {
-  Relation hash_result = Unwrap(exec::ExecuteToRelation(*hash()));
-  Relation legacy_result = Unwrap(exec::ExecuteToRelation(*legacy()));
-  MRA_CHECK(hash_result.Equals(legacy_result))
+/// Times hash vs the hash-free baseline, asserts identical result
+/// multisets, prints one summary row, and flags a regression when hash is
+/// slower.
+void Compare(const char* label, size_t scale, const Kernel& hash,
+             const Kernel& baseline) {
+  Relation hash_result, baseline_result;
+  hash.drain(*hash.make(), &hash_result);
+  baseline.drain(*baseline.make(), &baseline_result);
+  MRA_CHECK(hash_result.Equals(baseline_result))
       << label << ": hash kernel changed the result multiset";
 
-  uint64_t hash_weighted = 0, legacy_weighted = 0;
-  double hash_s = SecondsToDrain(hash, &hash_weighted);
-  double legacy_s = SecondsToDrain(legacy, &legacy_weighted);
-  MRA_CHECK(hash_weighted == legacy_weighted)
+  uint64_t hash_weighted = 0, baseline_weighted = 0;
+  double hash_s = SecondsToRun(hash, &hash_weighted);
+  double baseline_s = SecondsToRun(baseline, &baseline_weighted);
+  MRA_CHECK(hash_weighted == baseline_weighted)
       << label << ": kernels drained different bag cardinalities";
 
-  double speedup = legacy_s / hash_s;
-  Row("%-10s %-10zu %-12.4f %-12.4f %-14llu %.2fx", label, scale, legacy_s,
+  double speedup = baseline_s / hash_s;
+  Row("%-10s %-10zu %-12.4f %-12.4f %-14llu %.2fx", label, scale, baseline_s,
       hash_s, static_cast<unsigned long long>(hash_result.size()), speedup);
   if (speedup < 1.0) {
-    Row("REGRESSION: %s hash kernel slower than the legacy operator "
+    Row("REGRESSION: %s hash kernel slower than the hash-free baseline "
         "(%.2fx)", label, speedup);
   }
 }
 
 void VerifySpeedup(size_t rows) {
-  Header("E16: hash-based batch kernels",
+  Header("E16: hash kernels",
          "Claim: the hash equi-join beats the definitional nested-loop "
-         "sigma(E1 x E2) plan and the streaming hash dedup beats the "
-         "sort-based fallback, both >= 2x at the 1M-row scale, with "
-         "identical result multisets.");
+         "sigma(E1 x E2) plan and hash dedup beats sort + adjacent-unique, "
+         "both >= 2x at the 1M-row scale, with identical result "
+         "multisets.");
 
   // Join inputs: quadratic baseline, so rows/250 distinct tuples per side
   // (>= 2000 so the CI smoke scale still measures something).  A quarter
@@ -146,12 +193,12 @@ void VerifySpeedup(size_t rows) {
   // range rows/8 over 2 attributes keeps distinct keys well below rows).
   Relation d = MakeInput(rows, std::max<int64_t>(2, rows / 8), 18, "d");
 
-  Row("%-10s %-10s %-12s %-12s %-14s %-10s", "kernel", "scale", "legacy s",
+  Row("%-10s %-10s %-12s %-12s %-14s %-10s", "kernel", "scale", "baseline s",
       "hash s", "result rows", "speedup");
-  Compare("join", side, [&] { return BuildHashJoin(&jl, &jr); },
-          [&] { return BuildNestedLoopJoin(&jl, &jr); });
-  Compare("dedup", rows, [&] { return BuildHashDedup(&d); },
-          [&] { return BuildSortDedup(&d); });
+  Compare("join", side, {[&] { return BuildHashJoin(&jl, &jr); }, Drain},
+          {[&] { return BuildNestedLoopJoin(&jl, &jr); }, Drain});
+  Compare("dedup", rows, {[&] { return BuildHashDedup(&d); }, Drain},
+          {[&] { return BuildSortAll(&d); }, DrainUnique});
   Row("");
   Row("join side=%zu (nested loop is O(n^2); hash is O(n)), dedup "
       "rows=%zu", side, rows);
@@ -186,8 +233,8 @@ void BM_SortDedup(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
   Relation d = MakeInput(rows, std::max<int64_t>(2, rows / 8), 18, "d");
   for (auto _ : state) {
-    exec::PhysOpPtr root = BuildSortDedup(&d);
-    benchmark::DoNotOptimize(Drain(*root));
+    exec::PhysOpPtr root = BuildSortAll(&d);
+    benchmark::DoNotOptimize(DrainUnique(*root, nullptr));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
 }
@@ -201,7 +248,7 @@ void BM_HashGroupBy(benchmark::State& state) {
   RelationSchema schema =
       Unwrap(ops::GroupBySchema({0}, aggs, d.schema()));
   for (auto _ : state) {
-    auto root = std::make_unique<exec::HashGroupByOp>(
+    auto root = std::make_unique<parallel::HashGroupByOp>(
         std::vector<size_t>{0}, aggs, schema,
         std::make_unique<exec::ScanOp>(&d));
     benchmark::DoNotOptimize(Drain(*root));

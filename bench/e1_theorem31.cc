@@ -10,6 +10,7 @@
 #include "bench_util.h"
 #include "mra/algebra/ops.h"
 #include "mra/exec/operator.h"
+#include "mra/parallel/parallel_ops.h"
 
 namespace mra {
 namespace bench {
@@ -66,9 +67,9 @@ void BM_JoinDirectHash(benchmark::State& state) {
   const Relation* r = Unwrap(catalog.GetRelation("r"));
   const Relation* s = Unwrap(catalog.GetRelation("s"));
   for (auto _ : state) {
-    exec::HashJoinOp join({0}, {0}, nullptr,
-                          std::make_unique<exec::ScanOp>(r),
-                          std::make_unique<exec::ScanOp>(s));
+    parallel::HashJoinOp join({0}, {0}, nullptr,
+                              std::make_unique<exec::ScanOp>(r),
+                              std::make_unique<exec::ScanOp>(s));
     benchmark::DoNotOptimize(Unwrap(exec::ExecuteToRelation(join)));
   }
 }

@@ -27,6 +27,7 @@
 #include "mra/exec/operator.h"
 #include "mra/exec/sort.h"
 #include "mra/expr/scalar_expr.h"
+#include "mra/parallel/parallel_ops.h"
 
 namespace mra {
 namespace bench {
@@ -148,7 +149,7 @@ void VerifySortAndSpill(size_t rows) {
         std::make_unique<exec::ScanOp>(&jr), /*spill_bytes=*/0);
   };
   auto hash_join = [&] {
-    return std::make_unique<exec::HashJoinOp>(
+    return std::make_unique<parallel::HashJoinOp>(
         std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
         std::make_unique<exec::ScanOp>(&jl),
         std::make_unique<exec::ScanOp>(&jr));

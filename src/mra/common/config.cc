@@ -62,13 +62,6 @@ const Knob kKnobs[] = {
        return Status::OK();
      },
      [](const ExecConfig& c) { return std::to_string(c.exec.batch_size); }},
-    {"hash_ops", true,
-     "hash join/dedup/group-by kernels (off = nested-loop/sort fallbacks)",
-     [](ExecConfig* c, uint64_t, bool b) {
-       c->exec.hash_ops = b;
-       return Status::OK();
-     },
-     [](const ExecConfig& c) { return BoolName(c.exec.hash_ops); }},
     {"use_physical_exec", true,
      "physical operators (off = definitional evaluator)",
      [](ExecConfig* c, uint64_t, bool b) {

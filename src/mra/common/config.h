@@ -9,7 +9,7 @@
 //  * ConfigBuilder        — fluent construction for tests and embedders;
 //  * string-keyed knobs   — `config.Set("workers", "4")` backs the
 //    `SET <knob> = <value>;` statement (XRA + SQL) and the REPL `\set`,
-//    and ParseConfigFlags maps `--workers 4` / `--no-hash-ops` style
+//    and ParseConfigFlags maps `--workers 4` / `--no-optimize` style
 //    command-line flags onto the same registry, so the REPL and serverd
 //    parse flags through one funnel (docs/PARALLELISM.md has the knob
 //    reference).
@@ -31,30 +31,25 @@
 namespace mra {
 
 struct ExecConfig {
-  /// Executor shape: batching, kernel selection, parallelism.
+  /// Executor shape: batching, parallelism, sort spill and join strategy.
   struct Exec {
     /// Rows pulled per NextBatch() call when draining a physical plan;
     /// 0 selects the legacy row-at-a-time Next() loop.
     size_t batch_size = 1024;
-    /// Select the hash-based kernels (HashJoin, hash Dedup/GroupBy) when
-    /// they apply; when false the planner falls back to NestedLoopJoin
-    /// and SortDedup.
-    bool hash_ops = true;
     /// Execute through the physical operators (mra/exec); when false the
     /// definitional evaluator (mra/algebra) runs instead.
     bool use_physical_exec = true;
     /// Intra-query parallel degree: number of worker lanes the planner may
-    /// give one operator.  0 and 1 both mean serial execution; higher
-    /// values enable the morsel-driven partitioned kernels when the
-    /// operator's estimated input reaches `parallel_threshold`
-    /// (docs/PARALLELISM.md).  Requires hash_ops.
+    /// give one hash operator or sort.  0 and 1 both mean one lane; higher
+    /// values run the operator on that many lanes when its estimated
+    /// input reaches `parallel_threshold` (docs/PARALLELISM.md).
     size_t workers = 0;
     /// Rows per morsel: the unit a worker pulls from a shared child
     /// cursor, and the cancellation granularity inside parallel phases.
     size_t morsel_size = 1024;
     /// Minimum estimated input cardinality (build+probe for joins) before
-    /// the planner lowers an operator to its parallel variant; below it
-    /// the serial kernel wins on fan-out overhead alone.
+    /// the planner gives an operator more than one lane; below it one lane
+    /// wins on fan-out overhead alone.
     uint64_t parallel_threshold = 8192;
     /// In-memory working-set cap for one sort run, in bytes: a SortOp whose
     /// buffered rows exceed it sorts the buffer and spills it as a merge
@@ -123,7 +118,6 @@ struct ExecConfig {
 class ConfigBuilder {
  public:
   ConfigBuilder& BatchSize(size_t v) { cfg_.exec.batch_size = v; return *this; }
-  ConfigBuilder& HashOps(bool v) { cfg_.exec.hash_ops = v; return *this; }
   ConfigBuilder& UsePhysicalExec(bool v) {
     cfg_.exec.use_physical_exec = v;
     return *this;
@@ -174,7 +168,7 @@ class ConfigBuilder {
 };
 
 /// Consumes the config-owned flags from an argv (`--batch-size 64`,
-/// `--workers 4`, `--no-hash-ops`, `--query-mem-budget-mb 32`, …),
+/// `--workers 4`, `--no-optimize`, `--query-mem-budget-mb 32`, …),
 /// compacting argv in place so the caller's own flag loop only sees what
 /// is left.  Every knob in the registry is reachable: value knobs as
 /// `--<knob-with-hyphens> V`, boolean knobs as `--<knob>` / `--no-<knob>`.

@@ -1,6 +1,7 @@
 #include "mra/exec/hash_table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 
 namespace mra {
@@ -165,6 +166,27 @@ void JoinBuildTable::Reset() {
   heads_.clear();
   rows_.Clear();
   next_.clear();
+}
+
+double JoinBuildTable::EstimateBytes(double rows, size_t arity,
+                                     size_t key_arity) {
+  if (rows < 1) return 0;
+  const double n = std::ceil(rows);
+  // Capacity after growing by push_back from empty: the next power of two.
+  auto capacity = [](double size) {
+    return size < 1 ? 0.0 : std::exp2(std::ceil(std::log2(size)));
+  };
+  const double slots =
+      static_cast<double>(HashKeyIndex::SlotsFor(static_cast<size_t>(n)));
+  const double word = sizeof(size_t);
+  const double value = sizeof(Value);
+  return slots * word +                          // index slots
+         capacity(n) * word +                    // stored hashes
+         capacity(n * key_arity) * value +       // key copies
+         capacity(n) * word +                    // chain heads
+         capacity(n * arity) * value +           // row values
+         capacity(n) * sizeof(uint64_t) +        // row counts
+         capacity(n) * word;                     // chain links
 }
 
 void JoinBuildTable::Link(size_t m, const std::vector<size_t>& keys,

@@ -93,11 +93,22 @@ class HashKeyIndex {
   /// Approximate heap bytes held by the index (see header comment).
   size_t ApproxBytes() const;
 
+  /// The slot array size after `keys` distinct keys went in.
+  static size_t SlotsFor(size_t keys) {
+    size_t slots = kInitialSlots;
+    while (!Fits(keys, slots)) slots *= 2;
+    return slots;
+  }
+
  private:
   void Grow();
+  /// Whether `slots` slots hold `keys` keys under 70% load.
+  static bool Fits(size_t keys, size_t slots) {
+    return keys * 10 < slots * 7;
+  }
   /// Claims the slot array for one more key, growing it at 70% load.
   void ReserveOne() {
-    if (slots_.empty() || (size() + 1) * 10 >= slots_.size() * 7) Grow();
+    if (slots_.empty() || !Fits(size() + 1, slots_.size())) Grow();
   }
 
   static constexpr size_t kEmpty = static_cast<size_t>(-1);
@@ -143,13 +154,13 @@ class RowArena {
   size_t string_bytes_ = 0;  // String payload bytes of the live rows.
 };
 
-/// The build side of ⋈ on equi-keys, shared by exec::HashJoinOp and every
-/// radix partition of parallel::ParallelHashJoinOp: a HashKeyIndex over the
-/// key projection, the build rows in a RowArena, and per-key chains through
-/// them (heads by key id, next by row, newest first — chain order only
-/// permutes output order, which the bag stream convention does not
-/// observe).  A probe row meets every build row of its key along one
-/// chain; the caller forms the Def 3.1 product of the multiplicities.
+/// The build side of ⋈ on equi-keys, one per radix partition of
+/// parallel::HashJoinOp: a HashKeyIndex over the key projection, the build
+/// rows in a RowArena, and per-key chains through them (heads by key id,
+/// next by row, newest first — chain order only permutes output order,
+/// which the bag stream convention does not observe).  A probe row meets
+/// every build row of its key along one chain; the caller forms the
+/// Def 3.1 product of the multiplicities.
 class JoinBuildTable {
  public:
   static constexpr size_t kNone = static_cast<size_t>(-1);
@@ -188,6 +199,16 @@ class JoinBuildTable {
     return index_.ApproxBytes() + rows_.ApproxBytes() +
            (heads_.capacity() + next_.capacity()) * sizeof(size_t);
   }
+
+  /// The ApproxBytes() a one-table build of `rows` fixed-width rows of
+  /// `arity` attributes reaches, keyed on `key_arity` of them, with every
+  /// key distinct (the worst case for the index): the slot array at its
+  /// 70% growth point, the key copies, stored hashes, chain heads and
+  /// links, the row values and counts, each vector at the power-of-two
+  /// capacity its push_back growth leaves.  String payloads are not
+  /// counted.  The planner's hash-vs-sort-merge choice charges a join
+  /// with this before building it.
+  static double EstimateBytes(double rows, size_t arity, size_t key_arity);
 
  private:
   /// Chains build row `m` under its key.

@@ -283,6 +283,11 @@ Status PhysicalOperator::NoteHashFootprint(uint64_t bytes) {
   return ChargeMemTo(bytes);
 }
 
+void PhysicalOperator::PublishHashCounters() {
+  HashBuildRowsCounter()->Inc(metrics_.build_rows);
+  HashProbeRowsCounter()->Inc(metrics_.probe_rows);
+}
+
 // Default adapter: any operator with only a row-at-a-time NextImpl still
 // serves batches.  Calls NextImpl directly (not the public Next()) so the
 // batch wrapper above is the single place metrics accrue.
@@ -527,116 +532,6 @@ Status ComputeOp::ProjectInPlace(RowBatch& batch, Tuple& scratch) const {
 
 void ComputeOp::CloseImpl() { child_->Close(); }
 
-// --- DedupOp. ---
-
-DedupOp::DedupOp(PhysOpPtr child) : child_(std::move(child)) {
-  identity_.resize(child_->schema().arity());
-  for (size_t i = 0; i < identity_.size(); ++i) identity_[i] = i;
-}
-
-Status DedupOp::OpenImpl() {
-  seen_.Reset();
-  return child_->Open();
-}
-
-Result<std::optional<Row>> DedupOp::NextImpl() {
-  while (true) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-    if (!row.has_value()) return row;
-    ++metrics_.build_rows;
-    bool inserted = false;
-    seen_.InsertKey(row->tuple, identity_, &inserted);
-    if (inserted) {
-      MRA_RETURN_IF_ERROR(NoteHashFootprint(seen_.ApproxBytes()));
-      return std::optional<Row>(Row{std::move(row->tuple), 1});
-    }
-  }
-}
-
-Status DedupOp::NextBatchImpl(RowBatch& out) {
-  // In-place like FilterOp: the child fills `out`, first occurrences are
-  // compacted to the front with multiplicity 1, duplicates stay parked for
-  // the child's next refill.  Pull again until something survives or the
-  // child drains.
-  while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(out));
-    if (out.empty()) return Status::OK();
-    metrics_.build_rows += out.size();
-    size_t kept = 0;
-    for (size_t i = 0; i < out.size(); ++i) {
-      bool inserted = false;
-      seen_.InsertKey(out[i].tuple, identity_, &inserted);
-      if (inserted) {
-        if (kept != i) std::swap(out[kept], out[i]);
-        out[kept].count = 1;
-        ++kept;
-      }
-    }
-    out.Truncate(kept);
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(seen_.ApproxBytes()));
-    if (kept > 0) return Status::OK();
-  }
-}
-
-void DedupOp::CloseImpl() {
-  metrics_.distinct_rows = seen_.size();
-  metrics_.peak_hash_entries = seen_.size();
-  metrics_.hash_bytes = seen_.ApproxBytes();
-  HashBuildRowsCounter()->Inc(metrics_.build_rows);
-  NoteHashPeakBytes(metrics_.hash_bytes);
-  seen_.Reset();
-  child_->Close();
-}
-
-// --- SortDedupOp. ---
-
-SortDedupOp::SortDedupOp(PhysOpPtr child) : child_(std::move(child)) {}
-
-Status SortDedupOp::OpenImpl() {
-  tuples_.clear();
-  pos_ = 0;
-  MRA_RETURN_IF_ERROR(child_->Open());
-  RowBatch batch;
-  uint64_t materialized_bytes = 0;
-  while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(batch));
-    if (batch.empty()) break;
-    for (Row& row : batch) {
-      materialized_bytes += ApproxTupleBytes(row.tuple);
-      tuples_.push_back(std::move(row.tuple));
-    }
-    // Budget check per input batch, so a runaway sort input is caught
-    // while it grows, not after it is fully resident.
-    MRA_RETURN_IF_ERROR(ChargeMemTo(materialized_bytes));
-  }
-  child_->Close();
-  std::sort(tuples_.begin(), tuples_.end(),
-            [](const Tuple& a, const Tuple& b) {
-              for (size_t i = 0; i < a.arity(); ++i) {
-                int c = a.at(i).Compare(b.at(i));
-                if (c != 0) return c < 0;
-              }
-              return false;
-            });
-  tuples_.erase(std::unique(tuples_.begin(), tuples_.end(),
-                            [](const Tuple& a, const Tuple& b) {
-                              return a.Equals(b);
-                            }),
-                tuples_.end());
-  metrics_.distinct_rows = tuples_.size();
-  return Status::OK();
-}
-
-Result<std::optional<Row>> SortDedupOp::NextImpl() {
-  if (pos_ == tuples_.size()) return std::optional<Row>();
-  return std::optional<Row>(Row{std::move(tuples_[pos_++]), 1});
-}
-
-void SortDedupOp::CloseImpl() {
-  tuples_.clear();
-  tuples_.shrink_to_fit();
-}
-
 // --- UnionAllOp. ---
 
 UnionAllOp::UnionAllOp(PhysOpPtr left, PhysOpPtr right)
@@ -799,127 +694,6 @@ void NestedLoopJoinOp::CloseImpl() {
   left_->Close();
 }
 
-// --- HashJoinOp. ---
-
-HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
-                       std::vector<size_t> right_keys,
-                       ExprPtr residual_or_null, PhysOpPtr left,
-                       PhysOpPtr right)
-    : left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      residual_(std::move(residual_or_null)),
-      schema_(left->schema().Concat(right->schema())),
-      left_(std::move(left)),
-      right_(std::move(right)) {
-  MRA_CHECK_EQ(left_keys_.size(), right_keys_.size());
-  MRA_CHECK(!left_keys_.empty()) << "HashJoin requires at least one key pair";
-}
-
-Status HashJoinOp::OpenImpl() {
-  // Build phase: drain the right child into the recycled arena.
-  build_.Reset();
-  probe_batch_.Clear();
-  probe_pos_ = 0;
-  current_left_.reset();
-  chain_ = kNone;
-
-  MRA_RETURN_IF_ERROR(right_->Open());
-  RowBatch batch;
-  while (true) {
-    MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
-    if (batch.empty()) break;
-    for (const Row& row : batch) {
-      build_.Insert(row.tuple.view(), row.count, right_keys_,
-                    row.tuple.HashKey(right_keys_));
-    }
-    // Per-batch: budget check plus live hash_bytes / hash.peak_bytes so
-    // `\top` sees the build while it grows.
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(build_.ApproxBytes()));
-  }
-  right_->Close();
-
-  metrics_.build_rows = build_.rows();
-  metrics_.peak_hash_entries = build_.keys();
-  MRA_RETURN_IF_ERROR(NoteHashFootprint(build_.ApproxBytes()));
-  return left_->Open();
-}
-
-Result<bool> HashJoinOp::EmitMatch(const Row& probe, size_t match,
-                                   RowBatch& out) {
-  Row& slot = out.AppendSlot();
-  slot.tuple.AssignConcat(probe.tuple, build_.row(match));
-  slot.count = probe.count * build_.count(match);
-  if (residual_ != nullptr) {
-    MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
-    if (!keep) {
-      out.Truncate(out.size() - 1);
-      return false;
-    }
-  }
-  return true;
-}
-
-Result<std::optional<Row>> HashJoinOp::NextImpl() {
-  while (true) {
-    if (chain_ == kNone) {
-      MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_.has_value()) return std::optional<Row>();
-      ++metrics_.probe_rows;
-      const Tuple& probe = current_left_->tuple;
-      chain_ = build_.FindChain(probe.view(), left_keys_,
-                                probe.HashKey(left_keys_));
-      if (chain_ == kNone) continue;
-    }
-    const size_t match = chain_;
-    chain_ = build_.next(match);
-    Row row{Tuple(), current_left_->count * build_.count(match)};
-    row.tuple.AssignConcat(current_left_->tuple, build_.row(match));
-    if (residual_ != nullptr) {
-      MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, row.tuple));
-      if (!keep) continue;
-    }
-    return std::optional<Row>(std::move(row));
-  }
-}
-
-Status HashJoinOp::NextBatchImpl(RowBatch& out) {
-  while (!out.full()) {
-    if (chain_ == kNone) {
-      if (probe_pos_ == probe_batch_.size()) {
-        MRA_RETURN_IF_ERROR(left_->NextBatch(probe_batch_));
-        probe_pos_ = 0;
-        if (probe_batch_.empty()) return Status::OK();
-      }
-      ++metrics_.probe_rows;
-      const Tuple& probe = probe_batch_[probe_pos_].tuple;
-      chain_ = build_.FindChain(probe.view(), left_keys_,
-                                probe.HashKey(left_keys_));
-      if (chain_ == kNone) {
-        ++probe_pos_;
-        continue;
-      }
-    }
-    MRA_ASSIGN_OR_RETURN(bool emitted,
-                         EmitMatch(probe_batch_[probe_pos_], chain_, out));
-    (void)emitted;
-    chain_ = build_.next(chain_);
-    if (chain_ == kNone) ++probe_pos_;
-  }
-  return Status::OK();
-}
-
-void HashJoinOp::CloseImpl() {
-  HashBuildRowsCounter()->Inc(metrics_.build_rows);
-  HashProbeRowsCounter()->Inc(metrics_.probe_rows);
-  NoteHashPeakBytes(metrics_.hash_bytes);
-  build_.Reset();
-  probe_batch_.Clear();
-  probe_pos_ = 0;
-  current_left_.reset();
-  chain_ = kNone;
-  left_->Close();
-}
-
 // --- ClosureOp. ---
 
 ClosureOp::ClosureOp(PhysOpPtr child) : child_(std::move(child)) {}
@@ -991,107 +765,6 @@ std::vector<const PhysicalOperator*> SubplanCacheOp::children() const {
   // leaves, so EXPLAIN shows the subplan once.
   if (owner_) return {state_->source.get()};
   return {};
-}
-
-// --- HashGroupByOp. ---
-
-HashGroupByOp::HashGroupByOp(std::vector<size_t> keys,
-                             std::vector<AggSpec> aggs,
-                             RelationSchema output_schema, PhysOpPtr child)
-    : keys_(std::move(keys)),
-      aggs_(std::move(aggs)),
-      schema_(std::move(output_schema)),
-      child_(std::move(child)) {}
-
-Status HashGroupByOp::OpenImpl() {
-  // Aggregation phase: drain the child, folding every row into its group's
-  // accumulators.  InsertKey assigns dense ids in first-occurrence order,
-  // so the flat accumulator array grows strictly at the tail and
-  // accs_[id * aggs_.size() + i] addresses group id's i-th aggregate.
-  const RelationSchema& in_schema = child_->schema();
-  index_.Reset();
-  accs_.clear();
-  emit_pos_ = 0;
-  auto append_accumulators = [&] {
-    for (const AggSpec& agg : aggs_) {
-      accs_.emplace_back(agg.kind, in_schema.TypeOf(agg.attr));
-    }
-  };
-
-  MRA_RETURN_IF_ERROR(child_->Open());
-  auto footprint = [this] {
-    return index_.ApproxBytes() + accs_.capacity() * sizeof(AggAccumulator);
-  };
-  RowBatch batch;
-  while (true) {
-    MRA_RETURN_IF_ERROR(child_->NextBatch(batch));
-    if (batch.empty()) break;
-    metrics_.build_rows += batch.size();
-    for (const Row& row : batch) {
-      bool inserted = false;
-      size_t id = index_.InsertKey(row.tuple, keys_, &inserted);
-      if (inserted) append_accumulators();
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        accs_[id * aggs_.size() + i].Add(row.tuple.at(aggs_[i].attr),
-                                         row.count);
-      }
-    }
-    // Per-batch: budget check plus live hash_bytes / hash.peak_bytes.
-    MRA_RETURN_IF_ERROR(NoteHashFootprint(footprint()));
-  }
-  child_->Close();
-
-  // Def 3.3: Γ over an empty relation with no grouping attributes still
-  // denotes the one global group (whose AVG/MIN/MAX are then undefined).
-  if (keys_.empty() && index_.empty()) {
-    bool inserted = false;
-    index_.InsertKey(Tuple{}, keys_, &inserted);
-    append_accumulators();
-  }
-  metrics_.peak_hash_entries = index_.size();
-  metrics_.distinct_rows = index_.size();
-  return NoteHashFootprint(footprint());
-}
-
-Status HashGroupByOp::EmitGroup(size_t id, Tuple& out) {
-  // Finish() is where Def 3.3's partiality surfaces: AVG/MIN/MAX over an
-  // empty group return kUndefined, which propagates out of Next/NextBatch.
-  out.Assign(index_.key(id));
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    MRA_ASSIGN_OR_RETURN(Value v, accs_[id * aggs_.size() + i].Finish());
-    out.Append(std::move(v));
-  }
-  return Status::OK();
-}
-
-Result<std::optional<Row>> HashGroupByOp::NextImpl() {
-  if (emit_pos_ == index_.size()) return std::optional<Row>();
-  Row row{Tuple(), 1};
-  MRA_RETURN_IF_ERROR(EmitGroup(emit_pos_, row.tuple));
-  ++emit_pos_;
-  return std::optional<Row>(std::move(row));
-}
-
-Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
-  while (!out.full() && emit_pos_ < index_.size()) {
-    Row& slot = out.AppendSlot();
-    slot.count = 1;
-    Status s = EmitGroup(emit_pos_, slot.tuple);
-    if (!s.ok()) {
-      out.Truncate(out.size() - 1);
-      return s;
-    }
-    ++emit_pos_;
-  }
-  return Status::OK();
-}
-
-void HashGroupByOp::CloseImpl() {
-  HashBuildRowsCounter()->Inc(metrics_.build_rows);
-  NoteHashPeakBytes(metrics_.hash_bytes);
-  index_.Reset();
-  accs_.clear();
-  emit_pos_ = 0;
 }
 
 // --- Equi-join key extraction. ---

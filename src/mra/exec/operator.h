@@ -25,6 +25,10 @@
 // tree-walking per row.  A drained batch (out.empty() after a successful
 // call) is end of stream.  The two protocols share cursor state — consume
 // an open operator through one of them, not both interleaved.
+//
+// The hash kernels — ⋈ on equi-keys, Γ and δ — are not here: each has one
+// implementation, the lane-pipeline kernel in mra/parallel/parallel_ops.h,
+// and serial execution is its one-lane case.
 
 #ifndef MRA_EXEC_OPERATOR_H_
 #define MRA_EXEC_OPERATOR_H_
@@ -39,7 +43,6 @@
 #include "mra/algebra/aggregate.h"
 #include "mra/core/relation.h"
 #include "mra/exec/exec_context.h"
-#include "mra/exec/hash_table.h"
 #include "mra/expr/eval.h"
 #include "mra/expr/scalar_expr.h"
 #include "mra/obs/op_metrics.h"
@@ -168,8 +171,9 @@ class PhysicalOperator {
   void set_estimated_rows(double rows) { estimated_rows_ = rows; }
 
   /// Free-form planner note rendered next to the operator name in EXPLAIN
-  /// output ("keys: %2=%4", "fallback: predicate not hashable", …) — how
-  /// the lowering choice between hash and legacy operators stays visible.
+  /// output ("keys: %2=%4", "parallel: 4 lanes", "fallback: predicate not
+  /// hashable", …) — how the planner's join strategy, lane count and
+  /// fallbacks stay visible.
   const std::string& annotation() const { return annotation_; }
   void set_annotation(std::string note) { annotation_ = std::move(note); }
 
@@ -226,6 +230,11 @@ class PhysicalOperator {
   /// Close — so a live `\top` / ServerStats view sees a running build.
   /// Also charges the footprint against the query budget (ChargeMemTo).
   Status NoteHashFootprint(uint64_t bytes);
+
+  /// Adds this run's build and probe rows (metrics_.build_rows /
+  /// probe_rows) to the process-wide hash.build_rows / hash.probe_rows
+  /// counters.  The hash kernels call it once per run, from CloseImpl.
+  void PublishHashCounters();
 
   obs::OperatorMetrics metrics_;
 
@@ -365,56 +374,6 @@ class ComputeOp final : public PhysicalOperator {
   Tuple scratch_;
 };
 
-/// δ — streaming hash duplicate elimination: first occurrence passes with
-/// multiplicity 1, later occurrences are dropped.  The seen-set is a
-/// recycled HashKeyIndex; the native batch kernel compacts survivors in
-/// place (FilterOp-style), so a drain stays allocation-free once warm.
-class DedupOp final : public PhysicalOperator {
- public:
-  explicit DedupOp(PhysOpPtr child);
-
-  const RelationSchema& schema() const override { return child_->schema(); }
-  std::string_view name() const override { return "Dedup"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
-
- private:
-  PhysOpPtr child_;
-  HashKeyIndex seen_;
-  std::vector<size_t> identity_;  // 0, 1, …, arity-1: δ keys on all attrs.
-};
-
-/// δ via materialise + sort + adjacent-unique: the hash-free fallback
-/// (selected when hash operators are disabled) and the legacy comparator
-/// for bench/e16_hash_ops.
-class SortDedupOp final : public PhysicalOperator {
- public:
-  explicit SortDedupOp(PhysOpPtr child);
-
-  const RelationSchema& schema() const override { return child_->schema(); }
-  std::string_view name() const override { return "SortDedup"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
-  void CloseImpl() override;
-
- private:
-  PhysOpPtr child_;
-  std::vector<Tuple> tuples_;  // Sorted, uniqued on Open.
-  size_t pos_ = 0;
-};
-
 // --- Binary operators. ---
 
 /// ⊎ — concatenates the child streams; per-tuple counts add up by the bag
@@ -518,60 +477,6 @@ class NestedLoopJoinOp final : public PhysicalOperator {
   size_t right_pos_ = 0;
 };
 
-/// ⋈ on equi-key conjuncts %i = %j: builds a hash table over the right
-/// input keyed by its key attributes, probes with left rows, and applies
-/// the residual condition (non-equi conjuncts) to survivors.  Output
-/// multiplicity is the product of the matched input multiplicities
-/// (Definition 3.1 via Theorem 3.1's σ_φ(E1 × E2) equivalence).
-///
-/// The build side lives in a recycled JoinBuildTable: a HashKeyIndex over
-/// the key projection plus per-key chains through a flat row arena.  The
-/// native batch kernel pulls whole probe batches, hashes each probe row's
-/// key attributes in place (no key tuple materialised) and concatenates
-/// match rows into recycled output slots.
-class HashJoinOp final : public PhysicalOperator {
- public:
-  /// `left_keys[i]` pairs with `right_keys[i]` (indexes are local to each
-  /// side).  `residual_or_null` is evaluated over the concatenated tuple.
-  HashJoinOp(std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-             ExprPtr residual_or_null, PhysOpPtr left, PhysOpPtr right);
-
-  const RelationSchema& schema() const override { return schema_; }
-  std::string_view name() const override { return "HashJoin"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {left_.get(), right_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
-
- private:
-  static constexpr size_t kNone = JoinBuildTable::kNone;
-
-  /// Appends probe ⊕ build row `match` to `out` (recycled slot), applying
-  /// the residual; on residual rejection the slot is truncated back off.
-  Result<bool> EmitMatch(const Row& probe, size_t match, RowBatch& out);
-
-  std::vector<size_t> left_keys_;
-  std::vector<size_t> right_keys_;
-  ExprPtr residual_;
-  RelationSchema schema_;
-  PhysOpPtr left_;
-  PhysOpPtr right_;
-
-  JoinBuildTable build_;  // Recycled across Opens.
-
-  // Probe cursor, shared by both protocols: the current probe row and its
-  // position in the match chain (kNone = fetch the next probe row).
-  RowBatch probe_batch_;
-  size_t probe_pos_ = 0;
-  std::optional<Row> current_left_;  // Row-protocol probe row.
-  size_t chain_ = kNone;
-};
-
 /// Transitive closure (§5 extension): materialises the child on Open and
 /// runs the semi-naive fixpoint; streams the reachability set.
 class ClosureOp final : public PhysicalOperator {
@@ -630,45 +535,6 @@ class SubplanCacheOp final : public PhysicalOperator {
   std::shared_ptr<SubplanState> state_;
   bool owner_;
   Relation::const_iterator it_;
-};
-
-/// Γ — hash aggregation (Definition 3.4 with the Definition 3.3
-/// multiplicity-weighted aggregates).  Builds the group table on Open by
-/// draining the child batch-at-a-time into a recycled HashKeyIndex with a
-/// flat accumulator arena (group id × aggregate), then streams one output
-/// row per group, finishing accumulators lazily — AVG/MIN/MAX partiality
-/// over an empty input surfaces as kUndefined at emission, exactly like
-/// the definitional operator.
-class HashGroupByOp final : public PhysicalOperator {
- public:
-  HashGroupByOp(std::vector<size_t> keys, std::vector<AggSpec> aggs,
-                RelationSchema output_schema, PhysOpPtr child);
-
-  const RelationSchema& schema() const override { return schema_; }
-  std::string_view name() const override { return "HashGroupBy"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
-  Status NextBatchImpl(RowBatch& out) override;
-  void CloseImpl() override;
-
- private:
-  /// Fills `out` (a recycled slot) with group id's output tuple: key
-  /// attributes ⊕ finished aggregates.
-  Status EmitGroup(size_t id, Tuple& out);
-
-  std::vector<size_t> keys_;
-  std::vector<AggSpec> aggs_;
-  RelationSchema schema_;
-  PhysOpPtr child_;
-
-  HashKeyIndex index_;
-  std::vector<AggAccumulator> accs_;  // index_.size() × aggs_.size(), flat.
-  size_t emit_pos_ = 0;
 };
 
 /// Extracts equi-join key pairs from a join condition over a concatenated

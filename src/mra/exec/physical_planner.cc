@@ -1,6 +1,5 @@
 #include "mra/exec/physical_planner.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -50,45 +49,53 @@ struct LowerContext {
 /// memory budget — the sort-merge inputs spill to disk instead of being
 /// killed (docs/OPTIMIZER.md "Join strategy").  With no estimator or no
 /// budget the hash join stays the default.
-bool PickSortMergeJoin(const PlanPtr& plan, const LowerContext& ctx) {
+bool PickSortMergeJoin(const PlanPtr& plan, size_t key_arity,
+                       const LowerContext& ctx) {
   if (ctx.config.exec.sort_merge_join) return true;
   uint64_t budget = ctx.config.governance.query_mem_budget_bytes;
   if (budget == 0 || ctx.estimator == nullptr) return false;
   double build_rows = (*ctx.estimator)(*plan->child(1));
   if (build_rows < 0) return false;
-  // Same coarse footprint model the executor charges with: struct
-  // overhead plus one Value per attribute (string payloads unknown here).
-  double row_bytes = static_cast<double>(
-      sizeof(Row) + plan->child(1)->schema().arity() * sizeof(Value) +
-      3 * sizeof(size_t));  // key index + chain links per build row
-  return build_rows * row_bytes > static_cast<double>(budget);
+  // The footprint model the build charges with (string payloads unknown
+  // here, so fixed-width).
+  return JoinBuildTable::EstimateBytes(build_rows,
+                                       plan->child(1)->schema().arity(),
+                                       key_arity) >
+         static_cast<double>(budget);
 }
 
-/// Lane count for a hash operator's parallel variant: the configured
-/// worker degree when parallelism is on and the node's estimated input
-/// volume (build + probe sides for a join) reaches the threshold, else 0
-/// (stay serial).  With no estimator the planner never guesses parallel.
-size_t ParallelLanes(const PlanPtr& plan, const LowerContext& ctx) {
+/// Lane count for a hash operator or sort: the configured worker degree
+/// when it exceeds one and the node's estimated input volume (build +
+/// probe sides for a join) reaches the threshold, else one lane.  With no
+/// estimator the planner never guesses parallel.
+size_t Lanes(const PlanPtr& plan, const LowerContext& ctx) {
   const ExecConfig::Exec& e = ctx.config.exec;
-  if (e.workers <= 1 || !e.hash_ops || ctx.estimator == nullptr) return 0;
+  if (e.workers <= 1 || ctx.estimator == nullptr) return 1;
   double input = 0;
   for (const PlanPtr& child : plan->children()) {
     input += (*ctx.estimator)(*child);
   }
-  if (input < static_cast<double>(e.parallel_threshold)) return 0;
+  if (input < static_cast<double>(e.parallel_threshold)) return 1;
   return e.workers;
 }
 
-/// True when `op` streams a parallel join's output through filters and
-/// projections only.  A breaker above it then runs parallel too, even when
-/// its own estimated input is small (a selective join), so the probe runs
-/// in the breaker's lanes instead of on the thread pulling the join.
+/// True when `op` streams the output of a join running on more than one
+/// lane through filters and projections only.  A breaker above it then
+/// runs parallel too, even when its own estimated input is small (a
+/// selective join), so the probe runs in the breaker's lanes instead of on
+/// one.
 bool FeedsFromParallelJoin(const PhysicalOperator* op) {
   while (dynamic_cast<const FilterOp*>(op) != nullptr ||
          dynamic_cast<const ComputeOp*>(op) != nullptr) {
     op = op->children()[0];
   }
-  return dynamic_cast<const parallel::ParallelHashJoinOp*>(op) != nullptr;
+  auto* join = dynamic_cast<const parallel::HashJoinOp*>(op);
+  return join != nullptr && join->workers() > 1;
+}
+
+/// The EXPLAIN detail for a lane count, shown only past one lane.
+std::string LanesDetail(size_t lanes) {
+  return std::to_string(lanes) + " lanes";
 }
 
 void CountReusableSubtrees(const PlanPtr& plan,
@@ -126,22 +133,15 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
           plan->projections(), plan->schema(), std::move(child)));
     }
     case PlanKind::kUnique: {
-      size_t lanes = ParallelLanes(plan, ctx);
+      size_t lanes = Lanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
       if (FeedsFromParallelJoin(child.get())) lanes = ctx.config.exec.workers;
-      if (!ctx.config.exec.hash_ops) {
-        PhysOpPtr op(std::make_unique<SortDedupOp>(std::move(child)));
-        op->set_annotation(AnnotationText("fallback", "hash ops disabled"));
-        return op;
+      PhysOpPtr op(std::make_unique<parallel::DedupOp>(
+          std::move(child), lanes, ctx.config.exec.morsel_size));
+      if (lanes > 1) {
+        op->set_annotation(AnnotationText("parallel", LanesDetail(lanes)));
       }
-      if (lanes > 0) {
-        PhysOpPtr op(std::make_unique<parallel::ParallelDedupOp>(
-            std::move(child), lanes, ctx.config.exec.morsel_size));
-        op->set_annotation(
-            AnnotationText("parallel", std::to_string(lanes) + " lanes"));
-        return op;
-      }
-      return PhysOpPtr(std::make_unique<DedupOp>(std::move(child)));
+      return op;
     }
     case PlanKind::kUnion: {
       MRA_ASSIGN_OR_RETURN(PhysOpPtr l, LowerPlanImpl(plan->child(0), ctx));
@@ -168,7 +168,7 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
           nullptr, std::move(l), std::move(r)));
     }
     case PlanKind::kJoin: {
-      size_t lanes = ParallelLanes(plan, ctx);
+      size_t lanes = Lanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr l, LowerPlanImpl(plan->child(0), ctx));
       MRA_ASSIGN_OR_RETURN(PhysOpPtr r, LowerPlanImpl(plan->child(1), ctx));
       if (FeedsFromParallelJoin(l.get()) || FeedsFromParallelJoin(r.get())) {
@@ -177,68 +177,52 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       std::vector<size_t> left_keys, right_keys;
       ExprPtr residual;
       size_t left_arity = plan->child(0)->schema().arity();
-      if (ctx.config.exec.hash_ops &&
-          ExtractEquiJoinKeys(plan->condition(), plan->schema(), left_arity,
-                              &left_keys, &right_keys, &residual)) {
-        std::string keys;
-        for (size_t i = 0; i < left_keys.size(); ++i) {
-          keys += (i == 0 ? "%" : ", %") + std::to_string(left_keys[i] + 1) +
-                  "=%" + std::to_string(left_arity + right_keys[i] + 1);
-        }
-        if (PickSortMergeJoin(plan, ctx)) {
-          PhysOpPtr op(std::make_unique<SortMergeJoinOp>(
-              std::move(left_keys), std::move(right_keys),
-              std::move(residual), std::move(l), std::move(r),
-              ctx.config.exec.sort_spill_bytes));
-          op->set_annotation(
-              AnnotationText("strategy", "sort-merge, keys " + keys));
-          return op;
-        }
-        if (lanes > 0) {
-          PhysOpPtr op(std::make_unique<parallel::ParallelHashJoinOp>(
-              std::move(left_keys), std::move(right_keys), std::move(residual),
-              std::move(l), std::move(r), lanes, ctx.config.exec.morsel_size));
-          op->set_annotation(AnnotationText(
-              "keys", keys + "; parallel: " + std::to_string(lanes) +
-                          " lanes"));
-          return op;
-        }
-        PhysOpPtr op(std::make_unique<HashJoinOp>(
-            std::move(left_keys), std::move(right_keys), std::move(residual),
-            std::move(l), std::move(r)));
-        op->set_annotation(AnnotationText("keys", keys));
+      if (!ExtractEquiJoinKeys(plan->condition(), plan->schema(), left_arity,
+                               &left_keys, &right_keys, &residual)) {
+        PhysOpPtr op(std::make_unique<NestedLoopJoinOp>(
+            plan->condition(), std::move(l), std::move(r)));
+        op->set_annotation(
+            AnnotationText("fallback", "predicate not hashable"));
         return op;
       }
-      PhysOpPtr op(std::make_unique<NestedLoopJoinOp>(
-          plan->condition(), std::move(l), std::move(r)));
-      op->set_annotation(
-          ctx.config.exec.hash_ops
-              ? AnnotationText("fallback", "predicate not hashable")
-              : AnnotationText("fallback", "hash ops disabled"));
+      std::string keys;
+      for (size_t i = 0; i < left_keys.size(); ++i) {
+        keys += (i == 0 ? "%" : ", %") + std::to_string(left_keys[i] + 1) +
+                "=%" + std::to_string(left_arity + right_keys[i] + 1);
+      }
+      if (PickSortMergeJoin(plan, left_keys.size(), ctx)) {
+        PhysOpPtr op(std::make_unique<SortMergeJoinOp>(
+            std::move(left_keys), std::move(right_keys), std::move(residual),
+            std::move(l), std::move(r), ctx.config.exec.sort_spill_bytes));
+        op->set_annotation(
+            AnnotationText("strategy", "sort-merge, keys " + keys));
+        return op;
+      }
+      if (lanes > 1) keys += "; parallel: " + LanesDetail(lanes);
+      PhysOpPtr op(std::make_unique<parallel::HashJoinOp>(
+          std::move(left_keys), std::move(right_keys), std::move(residual),
+          std::move(l), std::move(r), lanes, ctx.config.exec.morsel_size));
+      op->set_annotation(AnnotationText("keys", keys));
       return op;
     }
     case PlanKind::kGroupBy: {
-      size_t lanes = ParallelLanes(plan, ctx);
+      size_t lanes = Lanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
       if (FeedsFromParallelJoin(child.get())) lanes = ctx.config.exec.workers;
-      if (lanes > 0) {
-        PhysOpPtr op(std::make_unique<parallel::ParallelHashGroupByOp>(
-            plan->group_keys(), plan->aggregates(), plan->schema(),
-            std::move(child), lanes, ctx.config.exec.morsel_size));
-        op->set_annotation(
-            AnnotationText("parallel", std::to_string(lanes) + " lanes"));
-        return op;
-      }
-      return PhysOpPtr(std::make_unique<HashGroupByOp>(
+      PhysOpPtr op(std::make_unique<parallel::HashGroupByOp>(
           plan->group_keys(), plan->aggregates(), plan->schema(),
-          std::move(child)));
+          std::move(child), lanes, ctx.config.exec.morsel_size));
+      if (lanes > 1) {
+        op->set_annotation(AnnotationText("parallel", LanesDetail(lanes)));
+      }
+      return op;
     }
     case PlanKind::kClosure: {
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
       return PhysOpPtr(std::make_unique<ClosureOp>(std::move(child)));
     }
     case PlanKind::kSort: {
-      size_t lanes = ParallelLanes(plan, ctx);
+      size_t lanes = Lanes(plan, ctx);
       MRA_ASSIGN_OR_RETURN(PhysOpPtr child, LowerPlanImpl(plan->child(0), ctx));
       if (FeedsFromParallelJoin(child.get())) lanes = ctx.config.exec.workers;
       const std::vector<size_t>& keys = plan->sort_keys();
@@ -252,13 +236,10 @@ Result<PhysOpPtr> LowerNode(const PlanPtr& plan, LowerContext& ctx) {
       if (plan->sort_limit() > 0) {
         detail += " limit " + std::to_string(plan->sort_limit());
       }
-      if (lanes > 0) {
-        detail += "; parallel: " + std::to_string(lanes) + " lanes";
-      }
+      if (lanes > 1) detail += "; parallel: " + LanesDetail(lanes);
       PhysOpPtr op(std::make_unique<SortOp>(
           keys, desc, plan->sort_limit(), ctx.config.exec.sort_spill_bytes,
-          std::move(child), std::max<size_t>(lanes, 1),
-          ctx.config.exec.morsel_size));
+          std::move(child), lanes, ctx.config.exec.morsel_size));
       op->set_annotation(AnnotationText("order", detail));
       return op;
     }

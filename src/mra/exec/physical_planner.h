@@ -3,7 +3,7 @@
 // Lowering choices:
 //   σ        → Filter
 //   π        → Compute
-//   δ        → Dedup (streaming hash), SortDedup when hash ops are disabled
+//   δ        → Dedup
 //   ⊎        → UnionAll (streaming)
 //   −        → Difference (materialising)
 //   ∩        → Intersect (materialising)
@@ -11,26 +11,27 @@
 //   ⋈_φ      → HashJoin when φ contains same-domain equi-conjuncts %i = %j
 //              across the inputs (residual applied after the probe);
 //              SortMergeJoin instead when the `sort_merge_join` knob forces
-//              it or the estimated hash build would trip an armed memory
-//              budget (the sorted inputs spill — docs/OPTIMIZER.md);
-//              NestedLoopJoin otherwise
+//              it or the estimated hash build (JoinBuildTable::
+//              EstimateBytes) would trip an armed memory budget (the
+//              sorted inputs spill — docs/OPTIMIZER.md); NestedLoopJoin
+//              otherwise
 //   Γ        → HashGroupBy
 //   sort     → Sort (in-memory, or external merge past the spill
 //              threshold; weighted Top-K heap under a LIMIT)
 //
-// When `config.exec.workers > 1` the hash kernels additionally lower to
-// their morsel-driven partitioned variants (ParallelHashJoin,
-// ParallelHashGroupBy, ParallelDedup — docs/PARALLELISM.md) for operators
-// whose estimated input reaches `config.exec.parallel_threshold`; below
-// the threshold the serial kernel wins on fan-out overhead alone, and with
-// no estimator the planner stays serial rather than guess.
+// HashJoin, HashGroupBy and Dedup are the lane-pipeline kernels of
+// mra/parallel/parallel_ops.h, the one implementation of each operator.
+// Every one of them, and Sort, gets a lane count: `config.exec.workers`
+// when that exceeds one and the operator's estimated input reaches
+// `config.exec.parallel_threshold`, else one lane (with no estimator the
+// planner stays at one lane rather than guess).  A breaker over a join
+// that runs on more than one lane takes the workers too, so the probe
+// runs in its lanes (docs/PARALLELISM.md).
 //
 // Each choice is annotated on the operator (PhysicalOperator::annotation):
-// HashJoin shows its key pairs, parallel variants their lane count, the
-// fallbacks say why they were taken — so EXPLAIN makes the selection
-// visible.  `config.exec.hash_ops = false` steers δ to SortDedup and ⋈ to
-// NestedLoopJoin (Γ keeps HashGroupBy — it is the only Γ implementation)
-// and disables the parallel variants, which are hash-partitioned.
+// HashJoin shows its key pairs, an operator on more than one lane its lane
+// count, the fallbacks say why they were taken — so EXPLAIN makes the
+// selection visible.
 
 #ifndef MRA_EXEC_PHYSICAL_PLANNER_H_
 #define MRA_EXEC_PHYSICAL_PLANNER_H_
@@ -57,10 +58,11 @@ using CardinalityEstimator = std::function<double(const Plan&)>;
 /// execution.  When `estimator` is non-null every operator is annotated
 /// with its logical node's estimate (PhysicalOperator::estimated_rows),
 /// which EXPLAIN ANALYZE renders against the actuals — and which also
-/// drives the parallel-variant decision (see the header comment).
-/// `config` supplies the kernel-selection and parallelism knobs
-/// (exec.hash_ops, exec.workers, exec.morsel_size, exec.parallel_threshold,
-/// planner.subplan_reuse); the remaining layers are the callers' business.
+/// drives the lane counts and the join strategy (see the header comment).
+/// `config` supplies the parallelism, spill and strategy knobs
+/// (exec.workers, exec.morsel_size, exec.parallel_threshold,
+/// exec.sort_spill_bytes, exec.sort_merge_join, planner.subplan_reuse) and
+/// the memory budget; the remaining layers are the callers' business.
 /// `exec_ctx`, when non-null, is attached to every operator of the lowered
 /// tree (cancellation / deadline / memory budget) and must outlive
 /// execution.

@@ -35,7 +35,6 @@ namespace lang {
 ///   optimize             → config.planner.optimize
 ///   use_physical_exec    → config.exec.use_physical_exec
 ///   batch_size           → config.exec.batch_size
-///   hash_ops             → config.exec.hash_ops
 ///   block_on_txn_slot    → config.session.block_on_txn_slot
 ///   statement_timeout_ms → config.governance.statement_timeout_ms
 ///   query_mem_budget_*   → config.governance.query_mem_budget_bytes

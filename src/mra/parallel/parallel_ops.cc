@@ -90,14 +90,13 @@ Status ForEachPartition(const WorkerPool::Lease& lease, size_t parts,
 
 }  // namespace
 
-// --- ParallelHashJoinOp. ---
+// --- HashJoinOp. ---
 
-ParallelHashJoinOp::ParallelHashJoinOp(std::vector<size_t> left_keys,
-                                       std::vector<size_t> right_keys,
-                                       ExprPtr residual_or_null,
-                                       exec::PhysOpPtr left,
-                                       exec::PhysOpPtr right, size_t workers,
-                                       size_t morsel_size)
+HashJoinOp::HashJoinOp(std::vector<size_t> left_keys,
+                       std::vector<size_t> right_keys,
+                       ExprPtr residual_or_null, exec::PhysOpPtr left,
+                       exec::PhysOpPtr right, size_t workers,
+                       size_t morsel_size)
     : left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       residual_(std::move(residual_or_null)),
@@ -110,10 +109,10 @@ ParallelHashJoinOp::ParallelHashJoinOp(std::vector<size_t> left_keys,
                                         /*fuse=*/true)) {
   MRA_CHECK_EQ(left_keys_.size(), right_keys_.size());
   MRA_CHECK(!left_keys_.empty())
-      << "ParallelHashJoin requires at least one key pair";
+      << "HashJoin requires at least one key pair";
 }
 
-Status ParallelHashJoinOp::OpenImpl() {
+Status HashJoinOp::OpenImpl() {
   partitions_.clear();
   probe_batch_.Clear();
   probe_pos_ = 0;
@@ -129,7 +128,7 @@ Status ParallelHashJoinOp::OpenImpl() {
   return left_->Open();
 }
 
-Status ParallelHashJoinOp::Build() {
+Status HashJoinOp::Build() {
   ExecContext* ctx = exec_context();
   MRA_RETURN_IF_ERROR(build_->Open(ctx));
   WorkerPool& pool = WorkerPool::Global();
@@ -211,17 +210,17 @@ Status ParallelHashJoinOp::Build() {
   return NoteHashFootprint(arena_bytes);
 }
 
-void ParallelHashJoinOp::Prefetch(size_t hash) const {
+void HashJoinOp::Prefetch(size_t hash) const {
   partitions_[RadixOf(hash, partitions_.size())].Prefetch(hash);
 }
 
-size_t ParallelHashJoinOp::FindChain(const Tuple& probe, size_t hash,
-                                     const Partition** part) const {
+size_t HashJoinOp::FindChain(const Tuple& probe, size_t hash,
+                             const Partition** part) const {
   *part = &partitions_[RadixOf(hash, partitions_.size())];
   return (*part)->FindChain(probe.view(), left_keys_, hash);
 }
 
-Result<std::optional<Row>> ParallelHashJoinOp::NextImpl() {
+Result<std::optional<Row>> HashJoinOp::NextImpl() {
   while (true) {
     if (chain_ == kNone) {
       MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
@@ -242,7 +241,7 @@ Result<std::optional<Row>> ParallelHashJoinOp::NextImpl() {
   }
 }
 
-Status ParallelHashJoinOp::NextBatchImpl(RowBatch& out) {
+Status HashJoinOp::NextBatchImpl(RowBatch& out) {
   while (!out.full()) {
     if (chain_ == kNone) {
       if (probe_pos_ == probe_batch_.size()) {
@@ -258,7 +257,7 @@ Status ParallelHashJoinOp::NextBatchImpl(RowBatch& out) {
       }
     }
     // Concat into a recycled slot; on residual rejection truncate it back
-    // off (the exec::HashJoinOp::EmitMatch idiom).
+    // off.
     const Row& probe = probe_batch_[probe_pos_];
     Row& slot = out.AppendSlot();
     slot.tuple.AssignConcat(probe.tuple, chain_part_->row(chain_));
@@ -273,9 +272,10 @@ Status ParallelHashJoinOp::NextBatchImpl(RowBatch& out) {
   return Status::OK();
 }
 
-void ParallelHashJoinOp::CloseImpl() {
-  // The build arena stays parked until the next Open or destruction, as
-  // exec::HashJoinOp's does; the wrapper returns its budget charge here.
+void HashJoinOp::CloseImpl() {
+  // The build arena stays parked until the next Open or destruction; the
+  // wrapper returns its budget charge here.
+  PublishHashCounters();
   staged_.clear();
   probe_batch_.Clear();
   probe_pos_ = 0;
@@ -288,14 +288,13 @@ void ParallelHashJoinOp::CloseImpl() {
   left_->Close();
 }
 
-// --- ParallelHashGroupByOp. ---
+// --- HashGroupByOp. ---
 
-ParallelHashGroupByOp::ParallelHashGroupByOp(std::vector<size_t> keys,
-                                             std::vector<AggSpec> aggs,
-                                             RelationSchema output_schema,
-                                             exec::PhysOpPtr child,
-                                             size_t workers,
-                                             size_t morsel_size)
+HashGroupByOp::HashGroupByOp(std::vector<size_t> keys,
+                             std::vector<AggSpec> aggs,
+                             RelationSchema output_schema,
+                             exec::PhysOpPtr child, size_t workers,
+                             size_t morsel_size)
     : keys_(std::move(keys)),
       aggs_(std::move(aggs)),
       schema_(std::move(output_schema)),
@@ -309,7 +308,7 @@ ParallelHashGroupByOp::ParallelHashGroupByOp(std::vector<size_t> keys,
   }
 }
 
-Status ParallelHashGroupByOp::OpenImpl() {
+Status HashGroupByOp::OpenImpl() {
   lane_tables_.clear();
   merged_.clear();
   emit_part_ = 0;
@@ -320,7 +319,7 @@ Status ParallelHashGroupByOp::OpenImpl() {
   return s;
 }
 
-Status ParallelHashGroupByOp::Aggregate() {
+Status HashGroupByOp::Aggregate() {
   ExecContext* ctx = exec_context();
   MRA_RETURN_IF_ERROR(input_->Open(ctx));
   WorkerPool::Lease lease =
@@ -438,8 +437,8 @@ Status ParallelHashGroupByOp::Aggregate() {
   return ChargeMemTo(merged_bytes);
 }
 
-Status ParallelHashGroupByOp::EmitGroup(const GroupTable& table, size_t id,
-                                        Tuple& out) {
+Status HashGroupByOp::EmitGroup(const GroupTable& table, size_t id,
+                                Tuple& out) {
   // Finish() is where Def 3.3's partiality surfaces: AVG/MIN/MAX over an
   // empty group return kUndefined, which propagates out of Next/NextBatch.
   out.Assign(table.index.key(id));
@@ -451,7 +450,7 @@ Status ParallelHashGroupByOp::EmitGroup(const GroupTable& table, size_t id,
   return Status::OK();
 }
 
-Result<std::optional<Row>> ParallelHashGroupByOp::NextImpl() {
+Result<std::optional<Row>> HashGroupByOp::NextImpl() {
   while (emit_part_ < merged_.size()) {
     if (emit_pos_ < merged_[emit_part_].index.size()) {
       Row row{Tuple(), 1};
@@ -466,7 +465,7 @@ Result<std::optional<Row>> ParallelHashGroupByOp::NextImpl() {
   return std::optional<Row>();
 }
 
-Status ParallelHashGroupByOp::NextBatchImpl(RowBatch& out) {
+Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
   while (!out.full()) {
     if (emit_part_ >= merged_.size()) return Status::OK();
     if (emit_pos_ >= merged_[emit_part_].index.size()) {
@@ -486,19 +485,19 @@ Status ParallelHashGroupByOp::NextBatchImpl(RowBatch& out) {
   return Status::OK();
 }
 
-void ParallelHashGroupByOp::CloseImpl() {
-  // The merged tables stay parked until the next Open or destruction, as
-  // the serial kernel's do; the wrapper returns their budget charge here.
+void HashGroupByOp::CloseImpl() {
+  // The merged tables stay parked until the next Open or destruction; the
+  // wrapper returns their budget charge here.
+  PublishHashCounters();
   lane_tables_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;
   input_->Close();
 }
 
-// --- ParallelDedupOp. ---
+// --- DedupOp. ---
 
-ParallelDedupOp::ParallelDedupOp(exec::PhysOpPtr child, size_t workers,
-                                 size_t morsel_size)
+DedupOp::DedupOp(exec::PhysOpPtr child, size_t workers, size_t morsel_size)
     : child_(std::move(child)),
       workers_(workers),
       input_(std::make_unique<Pipeline>(child_.get(), morsel_size,
@@ -507,7 +506,7 @@ ParallelDedupOp::ParallelDedupOp(exec::PhysOpPtr child, size_t workers,
   for (size_t i = 0; i < identity_.size(); ++i) identity_[i] = i;
 }
 
-Status ParallelDedupOp::OpenImpl() {
+Status DedupOp::OpenImpl() {
   lane_seen_.clear();
   merged_.clear();
   emit_part_ = 0;
@@ -518,7 +517,7 @@ Status ParallelDedupOp::OpenImpl() {
   return s;
 }
 
-Status ParallelDedupOp::Deduplicate() {
+Status DedupOp::Deduplicate() {
   ExecContext* ctx = exec_context();
   MRA_RETURN_IF_ERROR(input_->Open(ctx));
   WorkerPool::Lease lease =
@@ -590,7 +589,7 @@ Status ParallelDedupOp::Deduplicate() {
   return ChargeMemTo(merged_bytes);
 }
 
-Result<std::optional<Row>> ParallelDedupOp::NextImpl() {
+Result<std::optional<Row>> DedupOp::NextImpl() {
   while (emit_part_ < merged_.size()) {
     if (emit_pos_ < merged_[emit_part_].size()) {
       Row row{Tuple(), 1};
@@ -603,7 +602,7 @@ Result<std::optional<Row>> ParallelDedupOp::NextImpl() {
   return std::optional<Row>();
 }
 
-Status ParallelDedupOp::NextBatchImpl(RowBatch& out) {
+Status DedupOp::NextBatchImpl(RowBatch& out) {
   while (!out.full()) {
     if (emit_part_ >= merged_.size()) return Status::OK();
     if (emit_pos_ >= merged_[emit_part_].size()) {
@@ -618,9 +617,10 @@ Status ParallelDedupOp::NextBatchImpl(RowBatch& out) {
   return Status::OK();
 }
 
-void ParallelDedupOp::CloseImpl() {
-  // The merged tables stay parked until the next Open or destruction, as
-  // the serial kernel's do; the wrapper returns their budget charge here.
+void DedupOp::CloseImpl() {
+  // The merged key indexes stay parked until the next Open or
+  // destruction; the wrapper returns their budget charge here.
+  PublishHashCounters();
   lane_seen_.clear();
   emit_part_ = 0;
   emit_pos_ = 0;

@@ -1,13 +1,16 @@
-// Morsel-driven parallel variants of the hash kernels (docs/PARALLELISM.md).
+// The hash kernels: ⋈ on equi-keys, Γ and δ, one implementation each at
+// every lane count (docs/PARALLELISM.md).  Serial execution is the
+// one-lane case, not a second copy.
 //
 // All three are pipeline breakers.  Each compiles its input subtree into a
 // lane pipeline (mra/parallel/pipeline.h) at construction, and its Open
 // runs that pipeline under one WorkerPool lease with a per-lane sink, then
 // finishes with one synchronisation phase; Next/NextBatch stream the
-// finished state.  A ParallelHashJoinOp is also a pipeline *stage*: when
-// its parent fuses it, its Open only builds, and the parent's lanes probe
-// the finished build morsel by morsel.  Pulled by a serial parent instead,
-// it probes on the caller's thread.
+// finished state.  A HashJoinOp is also a pipeline *stage*: when its
+// parent fuses it, its Open only builds, and the parent's lanes probe the
+// finished build morsel by morsel.  Pulled through NextBatch instead (as a
+// plan root, or under a parent that does not fuse), it probes on the
+// caller's thread.
 //
 // Partitioning is by key-hash radix — high hash bits, so routing never
 // correlates with the slot bits the per-partition hash index uses:
@@ -45,6 +48,7 @@
 #include <memory>
 #include <vector>
 
+#include "mra/exec/hash_table.h"
 #include "mra/exec/operator.h"
 #include "mra/parallel/pipeline.h"
 #include "mra/parallel/worker_pool.h"
@@ -56,17 +60,21 @@ namespace parallel {
 /// by key radix into per-lane staging, then one private hash arena per
 /// partition is built in parallel.  Probes route by the same radix into
 /// the read-only partitions.  Output multiplicity is the product of the
-/// matched input multiplicities (Definition 3.1), exactly as
-/// exec::HashJoinOp.
-class ParallelHashJoinOp final : public exec::PhysicalOperator {
+/// matched input multiplicities (Definition 3.1).  On one lane there is a
+/// single partition and no staging pass: rows go straight into its arena.
+class HashJoinOp final : public exec::PhysicalOperator {
  public:
-  ParallelHashJoinOp(std::vector<size_t> left_keys,
-                     std::vector<size_t> right_keys, ExprPtr residual_or_null,
-                     exec::PhysOpPtr left, exec::PhysOpPtr right,
-                     size_t workers, size_t morsel_size);
+  /// `left_keys[i]` pairs with `right_keys[i]` (indexes are local to each
+  /// side); `residual_or_null` is evaluated over the concatenated tuple.
+  /// `workers` is the lane count the build asks the pool for.
+  HashJoinOp(std::vector<size_t> left_keys, std::vector<size_t> right_keys,
+             ExprPtr residual_or_null, exec::PhysOpPtr left,
+             exec::PhysOpPtr right, size_t workers = 1,
+             size_t morsel_size = exec::kDefaultBatchSize);
 
   const RelationSchema& schema() const override { return schema_; }
-  std::string_view name() const override { return "ParallelHashJoin"; }
+  std::string_view name() const override { return "HashJoin"; }
+  size_t workers() const { return workers_; }
   std::vector<const exec::PhysicalOperator*> children() const override {
     return {left_.get(), right_.get()};
   }
@@ -82,9 +90,8 @@ class ParallelHashJoinOp final : public exec::PhysicalOperator {
 
   static constexpr size_t kNone = exec::JoinBuildTable::kNone;
 
-  /// One radix partition's build arena: the same JoinBuildTable as
-  /// exec::HashJoinOp, private to the lane that built it and read-only
-  /// during the probe.
+  /// One radix partition's build arena, private to the lane that built it
+  /// and read-only during the probe.
   using Partition = exec::JoinBuildTable;
 
   /// One lane's build rows bound for one partition, copied out of the
@@ -144,14 +151,15 @@ class ParallelHashJoinOp final : public exec::PhysicalOperator {
 /// Key-free aggregation degenerates to per-lane accumulators merged at the
 /// join — classic two-phase aggregation — and preserves the Definition 3.3
 /// empty-input global group.
-class ParallelHashGroupByOp final : public exec::PhysicalOperator {
+class HashGroupByOp final : public exec::PhysicalOperator {
  public:
-  ParallelHashGroupByOp(std::vector<size_t> keys, std::vector<AggSpec> aggs,
-                        RelationSchema output_schema, exec::PhysOpPtr child,
-                        size_t workers, size_t morsel_size);
+  HashGroupByOp(std::vector<size_t> keys, std::vector<AggSpec> aggs,
+                RelationSchema output_schema, exec::PhysOpPtr child,
+                size_t workers = 1,
+                size_t morsel_size = exec::kDefaultBatchSize);
 
   const RelationSchema& schema() const override { return schema_; }
-  std::string_view name() const override { return "ParallelHashGroupBy"; }
+  std::string_view name() const override { return "HashGroupBy"; }
   std::vector<const exec::PhysicalOperator*> children() const override {
     return {child_.get()};
   }
@@ -164,7 +172,8 @@ class ParallelHashGroupByOp final : public exec::PhysicalOperator {
 
  private:
   /// One group table: key index plus the flat accumulator arena
-  /// (group id x aggregate), as in exec::HashGroupByOp.
+  /// (group id x aggregate).  Ids are dense in first-occurrence order, so
+  /// accs[id * aggs.size() + i] is group id's i-th aggregate.
   struct GroupTable {
     exec::HashKeyIndex index;
     std::vector<AggAccumulator> accs;
@@ -197,12 +206,13 @@ class ParallelHashGroupByOp final : public exec::PhysicalOperator {
 /// δ, partitioned: the input pipeline's lanes pre-dedup into radix-routed
 /// key indexes, then a parallel partition-wise union of supports; every
 /// surviving tuple streams with multiplicity 1.
-class ParallelDedupOp final : public exec::PhysicalOperator {
+class DedupOp final : public exec::PhysicalOperator {
  public:
-  ParallelDedupOp(exec::PhysOpPtr child, size_t workers, size_t morsel_size);
+  explicit DedupOp(exec::PhysOpPtr child, size_t workers = 1,
+                   size_t morsel_size = exec::kDefaultBatchSize);
 
   const RelationSchema& schema() const override { return child_->schema(); }
-  std::string_view name() const override { return "ParallelDedup"; }
+  std::string_view name() const override { return "Dedup"; }
   std::vector<const exec::PhysicalOperator*> children() const override {
     return {child_.get()};
   }

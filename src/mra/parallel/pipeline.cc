@@ -41,7 +41,7 @@ Pipeline::Pipeline(PhysicalOperator* input, size_t morsel_size, bool fuse)
     } else if (auto* compute = dynamic_cast<exec::ComputeOp*>(op)) {
       stages_.push_back(Stage{op, nullptr, compute, nullptr});
       op = ChildOf(op, 0);
-    } else if (auto* join = dynamic_cast<ParallelHashJoinOp*>(op)) {
+    } else if (auto* join = dynamic_cast<HashJoinOp*>(op)) {
       join->fused_ = true;
       stages_.push_back(Stage{op, nullptr, nullptr, join});
       op = join->left_.get();
@@ -181,7 +181,7 @@ Status Pipeline::Push(size_t lane, Lane& state, size_t i, RowBatch& batch,
 
 Status Pipeline::Probe(size_t lane, Lane& state, size_t i, RowBatch& batch,
                        const Sink& sink) {
-  const ParallelHashJoinOp& join = *stages_[i].probe;
+  const HashJoinOp& join = *stages_[i].probe;
   RowBatch& out = state.probe_out[i];
   Counters& c = state.counters[i + 1];
   c.probe_rows += batch.size();
@@ -202,9 +202,9 @@ Status Pipeline::Probe(size_t lane, Lane& state, size_t i, RowBatch& batch,
   }
   for (size_t r = 0; r < batch.size(); ++r) {
     const Row& probe = batch[r];
-    const ParallelHashJoinOp::Partition* part = nullptr;
+    const HashJoinOp::Partition* part = nullptr;
     for (size_t m = join.FindChain(probe.tuple, hashes[r], &part);
-         m != ParallelHashJoinOp::kNone; m = part->next(m)) {
+         m != HashJoinOp::kNone; m = part->next(m)) {
       Row& slot = out.AppendSlot();
       slot.tuple.AssignConcat(probe.tuple, part->row(m));
       slot.count = probe.count * part->count(m);

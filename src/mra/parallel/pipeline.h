@@ -10,7 +10,7 @@
 //             walks it in iteration order instead).  Any other operator
 //             is a *serial* source: it is opened and pulled through
 //             NextBatch by a single lane.
-//   stages    Filter, Compute and the probe of a ParallelHashJoinOp
+//   stages    Filter, Compute and the probe of a HashJoinOp
 //             against its finished build, applied to the morsel inside the
 //             lane that claimed it.  Probe output is concatenated into a
 //             lane-local recycled batch, flushed downstream whenever full.
@@ -48,7 +48,7 @@
 namespace mra {
 namespace parallel {
 
-class ParallelHashJoinOp;
+class HashJoinOp;
 
 class Pipeline {
  public:
@@ -57,8 +57,8 @@ class Pipeline {
   using Sink = std::function<Status(size_t lane, exec::RowBatch& batch)>;
 
   /// Compiles the subtree under a breaker.  With `fuse` false the whole
-  /// subtree is one serial source (the serial operators' own protocol).
-  /// A fused ParallelHashJoinOp is switched to build-only Open.
+  /// subtree is one serial source, pulled through its own NextBatch.
+  /// A fused HashJoinOp is switched to build-only Open.
   Pipeline(exec::PhysicalOperator* input, size_t morsel_size, bool fuse);
 
   /// True when lanes can split the source; a serial source runs on one.
@@ -86,7 +86,7 @@ class Pipeline {
     exec::PhysicalOperator* op;
     const exec::FilterOp* filter = nullptr;
     const exec::ComputeOp* compute = nullptr;
-    ParallelHashJoinOp* probe = nullptr;
+    HashJoinOp* probe = nullptr;
   };
 
   /// Per-lane counters for one stage (index 0 is the source, stage i is

@@ -14,6 +14,7 @@
 
 #include "mra/algebra/ops.h"
 #include "mra/exec/operator.h"
+#include "mra/parallel/parallel_ops.h"
 #include "test_util.h"
 
 namespace mra {
@@ -22,6 +23,10 @@ namespace {
 
 using ::mra::testing::IntRel;
 using ::mra::testing::RandomIntRelation;
+
+using ::mra::parallel::DedupOp;
+using ::mra::parallel::HashGroupByOp;
+using ::mra::parallel::HashJoinOp;
 
 using OpFactory = std::function<PhysOpPtr()>;
 
@@ -114,15 +119,6 @@ TEST_P(BatchDifferentialTest, DedupOp) {
       [&] { return std::make_unique<DedupOp>(std::make_unique<ScanOp>(&c.r)); });
   ExpectBatchAgreement([&] {
     return std::make_unique<DedupOp>(std::make_unique<ScanOp>(&c.empty));
-  });
-}
-
-TEST_P(BatchDifferentialTest, SortDedupOp) {
-  ExpectBatchAgreement([&] {
-    return std::make_unique<SortDedupOp>(std::make_unique<ScanOp>(&c.r));
-  });
-  ExpectBatchAgreement([&] {
-    return std::make_unique<SortDedupOp>(std::make_unique<ScanOp>(&c.empty));
   });
 }
 

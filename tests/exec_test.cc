@@ -10,12 +10,16 @@
 #include "mra/catalog/catalog.h"
 #include "mra/exec/operator.h"
 #include "mra/exec/physical_planner.h"
+#include "mra/parallel/parallel_ops.h"
 #include "test_util.h"
 
 namespace mra {
 namespace exec {
 namespace {
 
+using ::mra::parallel::DedupOp;
+using ::mra::parallel::HashGroupByOp;
+using ::mra::parallel::HashJoinOp;
 using ::mra::testing::IntRel;
 using ::mra::testing::IntTuple;
 using ::mra::testing::PaperBeerDb;

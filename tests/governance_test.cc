@@ -177,11 +177,14 @@ TEST_F(GovernanceTest, BatchBoundaryCancelKillsEveryOperatorKind) {
       "join(%2 < %3, r, s)",                // NestedLoopJoin (theta)
       "groupby([%2], cnt(%1), r)",          // HashGroupBy
   };
-  for (bool hash_ops : {true, false}) {
+  // One lane and four: every hash kernel and sort runs on the lane count
+  // its workers allow (threshold 0 lifts the size cut-off).
+  for (size_t workers : {size_t{0}, size_t{4}}) {
     for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
       lang::InterpreterOptions options;
       options.exec.batch_size = batch;
-      options.exec.hash_ops = hash_ops;
+      options.exec.workers = workers;
+      options.exec.parallel_threshold = 0;
       lang::Interpreter interp(db.get(), options);
       for (const char* q : queries) {
         uint64_t cancelled_before = CounterValue("exec.cancelled_total");
@@ -191,7 +194,8 @@ TEST_F(GovernanceTest, BatchBoundaryCancelKillsEveryOperatorKind) {
         auto killed = interp.Query(q);
         fault::FaultRegistry::Global().DisarmAll();
         ASSERT_FALSE(killed.ok())
-            << q << " survived an armed cancel (batch=" << batch << ")";
+            << q << " survived an armed cancel (batch=" << batch
+            << ", workers=" << workers << ")";
         EXPECT_EQ(killed.status().code(), StatusCode::kCancelled) << q;
         EXPECT_EQ(CounterValue("exec.cancelled_total"), cancelled_before + 1);
         auto clean = interp.Query(q);
@@ -465,8 +469,8 @@ TEST_F(GovernanceTest, JoinBuildChargesItsRowValues) {
   // least 2 MB however they are laid out.  A build charged for its slot,
   // chain and row-handle arrays alone stays far below that and would run
   // past the budget undetected; charged for its value arena plus string
-  // payloads it must trip, in every join kernel, and unwind with nothing
-  // left charged.
+  // payloads it must trip, on one lane and on four, and unwind with
+  // nothing left charged.
   RelationSchema build_schema("build", {Attribute{"k", Type::Int()},
                                         Attribute{"payload", Type::String()}});
   Relation build(build_schema);
@@ -484,18 +488,12 @@ TEST_F(GovernanceTest, JoinBuildChargesItsRowValues) {
   const uint64_t budget = kRows * kPayload;
 
   auto make = [&](size_t workers) -> PhysOpPtr {
-    auto left = std::make_unique<ScanOp>(&probe);
-    auto right = std::make_unique<ScanOp>(&build);
-    if (workers == 0) {
-      return std::make_unique<HashJoinOp>(std::vector<size_t>{0},
-                                          std::vector<size_t>{0}, nullptr,
-                                          std::move(left), std::move(right));
-    }
-    return std::make_unique<parallel::ParallelHashJoinOp>(
+    return std::make_unique<parallel::HashJoinOp>(
         std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-        std::move(left), std::move(right), workers, 64);
+        std::make_unique<ScanOp>(&probe), std::make_unique<ScanOp>(&build),
+        workers, 64);
   };
-  for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
+  for (size_t workers : {size_t{1}, size_t{4}}) {
     // Ungoverned, the same join succeeds: the budget is the only reason
     // for the kill below.
     PhysOpPtr free_op = make(workers);

@@ -1,5 +1,6 @@
-// Differential multiset-correctness suite for the hash-based physical
-// operators (HashJoinOp, HashGroupByOp, DedupOp, SortDedupOp).
+// Differential multiset-correctness suite for the hash kernels
+// (parallel::HashJoinOp, HashGroupByOp, DedupOp — one implementation each,
+// run here mostly on one lane).
 //
 // Each operator is checked against its *definitional* implementation in
 // mra/algebra/ops.h — direct transcriptions of Definitions 3.1/3.2/3.4 —
@@ -11,8 +12,9 @@
 //
 // The suite also pins the non-algebraic surface: Def 3.3 partiality of
 // AVG/MIN/MAX over an empty input through both the XRA and SQL front ends,
-// the optimizer's hash-vs-fallback choice as shown by EXPLAIN (ANALYZE),
-// and the process-wide hash.* metrics.
+// the planner's hash-vs-fallback choice as shown by EXPLAIN (ANALYZE),
+// the build footprint estimate the planner charges a join with, and the
+// process-wide hash.* metrics.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,9 @@ namespace mra {
 namespace exec {
 namespace {
 
+using ::mra::parallel::DedupOp;
+using ::mra::parallel::HashGroupByOp;
+using ::mra::parallel::HashJoinOp;
 using ::mra::testing::IntRel;
 using ::mra::testing::IntTuple;
 using ::mra::testing::PaperBeerDb;
@@ -184,16 +189,14 @@ TEST_P(HashOpsDifferentialTest, DedupMatchesDefinitionalUnique) {
     auto as_set = setalg::ToSet(r);
     ASSERT_OK(as_set);
     EXPECT_REL_EQ(*oracle, *as_set);
-    ExpectOperatorResult(
-        [&] {
-          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(&r));
-        },
-        *oracle, "hash dedup vs Def 3.4 unique");
-    ExpectOperatorResult(
-        [&] {
-          return std::make_unique<SortDedupOp>(std::make_unique<ScanOp>(&r));
-        },
-        *oracle, "sort dedup vs Def 3.4 unique");
+    for (size_t lanes : {size_t{1}, size_t{4}}) {
+      ExpectOperatorResult(
+          [&] {
+            return std::make_unique<DedupOp>(std::make_unique<ScanOp>(&r),
+                                             lanes, 16);
+          },
+          *oracle, "hash dedup vs Def 3.4 unique");
+    }
   }
 }
 
@@ -206,17 +209,14 @@ TEST_P(HashOpsDifferentialTest, DedupEdgeInputs) {
   for (const Relation* input : {&empty, &dup}) {
     auto oracle = ops::Unique(*input);
     ASSERT_OK(oracle);
-    ExpectOperatorResult(
-        [&, input = input] {
-          return std::make_unique<DedupOp>(std::make_unique<ScanOp>(input));
-        },
-        *oracle, "hash dedup edge input");
-    ExpectOperatorResult(
-        [&, input = input] {
-          return std::make_unique<SortDedupOp>(
-              std::make_unique<ScanOp>(input));
-        },
-        *oracle, "sort dedup edge input");
+    for (size_t lanes : {size_t{1}, size_t{4}}) {
+      ExpectOperatorResult(
+          [&, input = input] {
+            return std::make_unique<DedupOp>(std::make_unique<ScanOp>(input),
+                                             lanes);
+          },
+          *oracle, "hash dedup edge input");
+    }
   }
 }
 
@@ -437,10 +437,9 @@ TEST(HashArenaTest, ResetKeepsCapacityAndReproducesIds) {
 
 TEST(HashArenaTest, JoinDuplicateKeysHugeMultiplicitiesAcrossLanes) {
   // Few key values on both sides (long chains per key), multiplicities up
-  // to 1e6 (products up to 1e12), string and int keys: the serial kernel
-  // and the partitioned one at 1 and 4 lanes must all yield exactly the
-  // Def 3.1 bag — the build's staged arenas, moved into the partitions by
-  // RowArena::AppendFrom, included.
+  // to 1e6 (products up to 1e12), string and int keys: the join at 1 and
+  // 4 lanes must yield exactly the Def 3.1 bag — the build's staged
+  // arenas, moved into the partitions by RowArena::AppendFrom, included.
   auto with_strings = [](const Relation& ints) {
     Relation out(RelationSchema(
         "strs", {{"s", Type::String()}, {"i", Type::Int()}}));
@@ -462,17 +461,10 @@ TEST(HashArenaTest, JoinDuplicateKeysHugeMultiplicitiesAcrossLanes) {
       Relation s = strings ? with_strings(s_int) : s_int;
       auto oracle = ops::Join(Eq(Attr(0), Attr(2)), r, s);
       ASSERT_OK(oracle);
-      ExpectOperatorResult(
-          [&] {
-            return std::make_unique<HashJoinOp>(
-                std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
-                std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s));
-          },
-          *oracle, "serial join, duplicate keys");
       for (size_t lanes : {size_t{1}, size_t{4}}) {
         ExpectOperatorResult(
             [&] {
-              return std::make_unique<parallel::ParallelHashJoinOp>(
+              return std::make_unique<HashJoinOp>(
                   std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
                   std::make_unique<ScanOp>(&r), std::make_unique<ScanOp>(&s),
                   lanes, 16);
@@ -480,6 +472,29 @@ TEST(HashArenaTest, JoinDuplicateKeysHugeMultiplicitiesAcrossLanes) {
             *oracle, lanes == 1 ? "1-lane join" : "4-lane join");
       }
     }
+  }
+}
+
+TEST(HashArenaTest, BuildEstimateCoversTheChargedFootprint) {
+  // The planner picks sort-merge over hash by JoinBuildTable::EstimateBytes;
+  // a one-lane build of fixed-width rows with distinct keys must never
+  // charge more than that estimate, or a build the planner judged to fit
+  // the budget gets killed instead of spilling.
+  Relation probe = IntRel("p", {{0, 0}}, 2);
+  for (int64_t n : {1'000, 10'000, 100'000}) {
+    Relation build(probe.schema());
+    for (int64_t i = 0; i < n; ++i) {
+      build.InsertUnchecked(IntTuple({i, i % 7}), 1);
+    }
+    HashJoinOp join(std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr,
+                    std::make_unique<ScanOp>(&probe),
+                    std::make_unique<ScanOp>(&build));
+    ASSERT_OK(ExecuteToRelation(join).status());
+    const double estimate =
+        JoinBuildTable::EstimateBytes(static_cast<double>(n), 2, 1);
+    EXPECT_GE(estimate, static_cast<double>(join.metrics().hash_bytes))
+        << n << " rows";
+    EXPECT_GT(join.metrics().hash_bytes, 0u);
   }
 }
 
@@ -600,37 +615,6 @@ TEST_F(HashOpsFrontEndTest, ExplainShowsNestedLoopFallbackForThetaJoin) {
   EXPECT_NE(plan->find("[fallback: predicate not hashable]"),
             std::string::npos)
       << *plan;
-}
-
-TEST_F(HashOpsFrontEndTest, HashOpsDisabledFallsBackEverywhere) {
-  lang::InterpreterOptions options;
-  options.exec.hash_ops = false;
-  lang::Interpreter interp(db_.get(), options);
-
-  auto join_plan = interp.Explain("join(%1 = %3, u, u)");
-  ASSERT_OK(join_plan);
-  EXPECT_EQ(join_plan->find("HashJoin"), std::string::npos) << *join_plan;
-  EXPECT_NE(join_plan->find("NestedLoopJoin"), std::string::npos)
-      << *join_plan;
-  EXPECT_NE(join_plan->find("[fallback: hash ops disabled]"),
-            std::string::npos)
-      << *join_plan;
-
-  auto dedup_plan = interp.Explain("unique(u)");
-  ASSERT_OK(dedup_plan);
-  EXPECT_NE(dedup_plan->find("SortDedup"), std::string::npos) << *dedup_plan;
-
-  // The fallback plans still compute the same multisets.
-  auto with_hash = interp_->Query("join(%1 = %3, u, u)");
-  ASSERT_OK(with_hash);
-  auto without_hash = interp.Query("join(%1 = %3, u, u)");
-  ASSERT_OK(without_hash);
-  EXPECT_REL_EQ(*with_hash, *without_hash);
-  auto uniq_hash = interp_->Query("unique(project([%1], u))");
-  ASSERT_OK(uniq_hash);
-  auto uniq_sort = interp.Query("unique(project([%1], u))");
-  ASSERT_OK(uniq_sort);
-  EXPECT_REL_EQ(*uniq_hash, *uniq_sort);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "mra/obs/op_metrics.h"
 #include "mra/obs/slow_log.h"
 #include "mra/obs/trace.h"
+#include "mra/parallel/parallel_ops.h"
 #include "test_util.h"
 
 namespace mra {
@@ -451,7 +452,7 @@ TEST(OperatorMetricsTest, WallTimeOnlyWhenTimingEnabled) {
 
 TEST(OperatorMetricsTest, HashOperatorsReportPeakAndDistinct) {
   Relation r = IntRel("r", {{1}, {1}, {2}, {3}}, 1);
-  exec::DedupOp dedup(std::make_unique<exec::ScanOp>(&r));
+  parallel::DedupOp dedup(std::make_unique<exec::ScanOp>(&r));
   auto result = exec::ExecuteToRelation(dedup);
   ASSERT_OK(result);
   EXPECT_EQ(dedup.metrics().distinct_rows, 3u);

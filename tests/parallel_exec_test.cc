@@ -1,10 +1,10 @@
-// Differential and governance suite for the morsel-driven parallel kernels
-// (docs/PARALLELISM.md).  The oracle is always the single-threaded
+// Differential and governance suite for the hash kernels' morsel-driven
+// lane pipelines (docs/PARALLELISM.md).  The oracle is always the single-threaded
 // definitional path (mra/algebra) — Definition 3.1 for join multiplicities,
 // Definition 3.3 for aggregates, δ for dedup — so any partitioning or merge
 // bug shows up as a bag mismatch, not just a flaky count.
 //
-// The matrix runs every parallel operator at worker counts 1/2/8 and
+// The matrix runs every hash kernel at worker counts 1/2/8 and
 // morsel/batch granularities 1/7/1024 over seeded random inputs whose
 // multiplicities reach 10^6 (multiplicity arithmetic must not be rebuilt
 // from row repetition).  A second matrix runs whole lane pipelines — the
@@ -52,20 +52,20 @@ exec::PhysOpPtr Scan(const Relation& rel) {
   return std::make_unique<exec::ScanOp>(&rel);
 }
 
-exec::PhysOpPtr ParallelJoin(const Relation& left, const Relation& right,
+exec::PhysOpPtr LaneJoin(const Relation& left, const Relation& right,
                              size_t workers, size_t morsel) {
-  return std::make_unique<parallel::ParallelHashJoinOp>(
+  return std::make_unique<parallel::HashJoinOp>(
       std::vector<size_t>{0}, std::vector<size_t>{0}, nullptr, Scan(left),
       Scan(right), workers, morsel);
 }
 
-exec::PhysOpPtr ParallelGroupBy(const Relation& input,
+exec::PhysOpPtr LaneGroupBy(const Relation& input,
                                 const std::vector<size_t>& keys,
                                 const std::vector<AggSpec>& aggs,
                                 size_t workers, size_t morsel) {
   auto schema = ops::GroupBySchema(keys, aggs, input.schema());
   EXPECT_TRUE(schema.ok()) << schema.status().ToString();
-  return std::make_unique<parallel::ParallelHashGroupByOp>(
+  return std::make_unique<parallel::HashGroupByOp>(
       keys, aggs, *schema, Scan(input), workers, morsel);
 }
 
@@ -103,17 +103,17 @@ TEST(ParallelExecDifferential, JoinGroupByDedupMatchDefinitionalOracle) {
                      " morsel=" + std::to_string(morsel) +
                      " mult=" + std::to_string(max_mult));
         auto join = exec::ExecuteToRelation(
-            *ParallelJoin(r, s, workers, morsel), morsel);
+            *LaneJoin(r, s, workers, morsel), morsel);
         ASSERT_OK(join);
         EXPECT_REL_EQ(*join, *join_oracle);
 
         auto grouped = exec::ExecuteToRelation(
-            *ParallelGroupBy(r, {0}, AllAggs(), workers, morsel), morsel);
+            *LaneGroupBy(r, {0}, AllAggs(), workers, morsel), morsel);
         ASSERT_OK(grouped);
         EXPECT_REL_EQ(*grouped, *group_oracle);
 
         auto deduped = exec::ExecuteToRelation(
-            *std::make_unique<parallel::ParallelDedupOp>(Scan(r), workers,
+            *std::make_unique<parallel::DedupOp>(Scan(r), workers,
                                                          morsel),
             morsel);
         ASSERT_OK(deduped);
@@ -132,7 +132,7 @@ TEST(ParallelExecDifferential, ResidualPredicateFiltersMatchPairs) {
   auto oracle =
       ops::Join(And(Eq(Attr(0), Attr(2)), Lt(Attr(1), Attr(3))), r, s);
   ASSERT_OK(oracle);
-  auto op = std::make_unique<parallel::ParallelHashJoinOp>(
+  auto op = std::make_unique<parallel::HashJoinOp>(
       std::vector<size_t>{0}, std::vector<size_t>{0}, Lt(Attr(1), Attr(3)),
       Scan(r), Scan(s), /*workers=*/4, /*morsel_size=*/7);
   auto result = exec::ExecuteToRelation(*op);
@@ -154,7 +154,7 @@ TEST(ParallelExecDifferential, KeyFreeAggregationKeepsEmptyInputGroup) {
     auto oracle = ops::GroupBy({}, aggs, *input);
     ASSERT_OK(oracle);
     auto result = exec::ExecuteToRelation(
-        *ParallelGroupBy(*input, {}, aggs, /*workers=*/8, /*morsel=*/7));
+        *LaneGroupBy(*input, {}, aggs, /*workers=*/8, /*morsel=*/7));
     ASSERT_OK(result);
     EXPECT_REL_EQ(*result, *oracle);
   }
@@ -185,7 +185,7 @@ TEST(ParallelExecGovernance, CancelHammerFromAnotherThread) {
   ASSERT_OK(oracle);
   for (int round = 0; round < 12; ++round) {
     exec::ExecContext ctx;
-    auto op = ParallelJoin(r, r, /*workers=*/8, /*morsel=*/64);
+    auto op = LaneJoin(r, r, /*workers=*/8, /*morsel=*/64);
     op->SetExecContext(&ctx);
     std::thread killer([&ctx, round] {
       std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
@@ -213,11 +213,11 @@ TEST(ParallelExecGovernance, FailpointCancelKillsEachParallelOperator) {
     std::function<exec::PhysOpPtr()> build;
   };
   const Case cases[] = {
-      {"join", [&] { return ParallelJoin(r, r, 8, 32); }},
-      {"groupby", [&] { return ParallelGroupBy(r, {0}, AllAggs(), 8, 32); }},
+      {"join", [&] { return LaneJoin(r, r, 8, 32); }},
+      {"groupby", [&] { return LaneGroupBy(r, {0}, AllAggs(), 8, 32); }},
       {"dedup",
        [&] {
-         return std::make_unique<parallel::ParallelDedupOp>(Scan(r), 8, 32);
+         return std::make_unique<parallel::DedupOp>(Scan(r), 8, 32);
        }},
   };
   for (const Case& c : cases) {
@@ -248,7 +248,7 @@ TEST(ParallelExecGovernance, DeadlineKillLandsWithinAMorsel) {
   exec::ExecContext ctx;
   ctx.SetDeadlineAfterMs(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto op = ParallelJoin(r, r, /*workers=*/8, /*morsel=*/16);
+  auto op = LaneJoin(r, r, /*workers=*/8, /*morsel=*/16);
   op->SetExecContext(&ctx);
   auto killed = exec::ExecuteToRelation(*op, 16);
   ASSERT_FALSE(killed.ok());
@@ -260,7 +260,7 @@ TEST(ParallelExecGovernance, MemoryBudgetTripsDuringParallelBuild) {
   Relation r = BigPairs(20000);
   exec::ExecContext ctx;
   ctx.SetMemoryBudget(4 * 1024);  // Far below the build footprint.
-  auto op = ParallelJoin(r, r, /*workers=*/4, /*morsel=*/256);
+  auto op = LaneJoin(r, r, /*workers=*/4, /*morsel=*/256);
   op->SetExecContext(&ctx);
   auto killed = exec::ExecuteToRelation(*op, 256);
   ASSERT_FALSE(killed.ok());
@@ -374,17 +374,17 @@ TEST(LanePipelineDifferential, ChainedProbesShareOneLane) {
     for (size_t morsel : {1, 7, 1024}) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " morsel=" + std::to_string(morsel));
-      auto inner = std::make_unique<parallel::ParallelHashJoinOp>(
+      auto inner = std::make_unique<parallel::HashJoinOp>(
           std::vector<size_t>{1}, std::vector<size_t>{0}, nullptr, Scan(r),
           Scan(s), workers, morsel);
       auto filtered = std::make_unique<exec::FilterOp>(
           Lt(Attr(0), Lit(int64_t{20})), std::move(inner));
-      auto outer = std::make_unique<parallel::ParallelHashJoinOp>(
+      auto outer = std::make_unique<parallel::HashJoinOp>(
           std::vector<size_t>{3}, std::vector<size_t>{0}, nullptr,
           std::move(filtered), Scan(t), workers, morsel);
       auto schema = ops::GroupBySchema({5}, aggs, outer->schema());
       ASSERT_OK(schema);
-      parallel::ParallelHashGroupByOp root({5}, aggs, *schema,
+      parallel::HashGroupByOp root({5}, aggs, *schema,
                                            std::move(outer), workers, morsel);
       auto got = exec::ExecuteToRelation(root, morsel);
       ASSERT_OK(got);
@@ -393,14 +393,20 @@ TEST(LanePipelineDifferential, ChainedProbesShareOneLane) {
   }
 }
 
+/// The first EXPLAIN line naming `op`, from the name on; empty if none.
+std::string LineOf(const std::string& text, const std::string& op) {
+  size_t at = text.find(op);
+  if (at == std::string::npos) return "";
+  return text.substr(at, text.find('\n', at) - at);
+}
+
 /// The `workers=` figure on the first EXPLAIN ANALYZE line naming `op`.
 int WorkersOf(const std::string& text, const std::string& op) {
-  size_t at = text.find(op);
-  if (at == std::string::npos) return -1;
-  size_t eol = text.find('\n', at);
-  size_t w = text.find("workers=", at);
-  if (w == std::string::npos || w > eol) return 0;
-  return std::atoi(text.c_str() + w + 8);
+  std::string line = LineOf(text, op);
+  if (line.empty()) return -1;
+  size_t w = line.find("workers=");
+  if (w == std::string::npos) return 0;
+  return std::atoi(line.c_str() + w + 8);
 }
 
 TEST(LanePipelinePlanner, NestedBreakersRunOnTheFullLease) {
@@ -414,17 +420,17 @@ TEST(LanePipelinePlanner, NestedBreakersRunOnTheFullLease) {
       std::min<size_t>(4, parallel::WorkerPool::Global().capacity()));
   auto join = interp.ExplainAnalyze(kAnalyticShapes[0]);
   ASSERT_OK(join);
-  EXPECT_EQ(WorkersOf(*join, "ParallelHashGroupBy"), lease) << *join;
-  EXPECT_EQ(WorkersOf(*join, "ParallelHashJoin"), lease) << *join;
+  EXPECT_EQ(WorkersOf(*join, "HashGroupBy"), lease) << *join;
+  EXPECT_EQ(WorkersOf(*join, "HashJoin"), lease) << *join;
   auto distinct = interp.ExplainAnalyze(kAnalyticShapes[2]);
   ASSERT_OK(distinct);
-  EXPECT_EQ(WorkersOf(*distinct, "ParallelDedup"), lease) << *distinct;
+  EXPECT_EQ(WorkersOf(*distinct, "Dedup"), lease) << *distinct;
   // Γ over δ's serial emission runs on one lane.
-  EXPECT_EQ(WorkersOf(*distinct, "ParallelHashGroupBy"), 1) << *distinct;
+  EXPECT_EQ(WorkersOf(*distinct, "HashGroupBy"), 1) << *distinct;
   auto sorted = interp.ExplainAnalyze(kAnalyticShapes[3]);
   ASSERT_OK(sorted);
   EXPECT_EQ(WorkersOf(*sorted, "Sort"), lease) << *sorted;
-  EXPECT_EQ(WorkersOf(*sorted, "ParallelHashGroupBy"), 1) << *sorted;
+  EXPECT_EQ(WorkersOf(*sorted, "HashGroupBy"), 1) << *sorted;
 }
 
 TEST(LanePipelinePlanner, BreakerOverASelectiveParallelJoinRunsParallel) {
@@ -438,8 +444,12 @@ TEST(LanePipelinePlanner, BreakerOverASelectiveParallelJoinRunsParallel) {
       "groupby([%4], cnt(%1), join(%1 = %3, fact, select(%2 = 1, dim)))";
   auto text = interp.Explain(query);
   ASSERT_OK(text);
-  EXPECT_NE(text->find("ParallelHashJoin"), std::string::npos) << *text;
-  EXPECT_NE(text->find("ParallelHashGroupBy"), std::string::npos) << *text;
+  EXPECT_NE(LineOf(*text, "HashJoin").find("parallel: 4 lanes"),
+            std::string::npos)
+      << *text;
+  EXPECT_NE(LineOf(*text, "HashGroupBy").find("parallel: 4 lanes"),
+            std::string::npos)
+      << *text;
   auto got = interp.Query(query);
   ASSERT_OK(got);
   EXPECT_REL_EQ(*got, Definitional(*db, query));
@@ -490,10 +500,10 @@ TEST(LanePipelineGovernance, KillMidPipelineLeaksNoBudgetOrRunFiles) {
   std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "sum_v"},
                                {AggKind::kCnt, 0, "cnt"}};
   auto join_groupby = [&] {
-    auto join = ParallelJoin(r, r, 8, 64);
+    auto join = LaneJoin(r, r, 8, 64);
     auto schema = ops::GroupBySchema({0}, aggs, join->schema());
     EXPECT_OK(schema);
-    return exec::PhysOpPtr(std::make_unique<parallel::ParallelHashGroupByOp>(
+    return exec::PhysOpPtr(std::make_unique<parallel::HashGroupByOp>(
         std::vector<size_t>{0}, aggs, *schema, std::move(join), 8, 64));
   };
   auto sort_groupby = [&] {
@@ -505,7 +515,7 @@ TEST(LanePipelineGovernance, KillMidPipelineLeaksNoBudgetOrRunFiles) {
         /*workers=*/8, /*morsel_size=*/64);
     auto schema = ops::GroupBySchema({}, aggs, sort->schema());
     EXPECT_OK(schema);
-    return exec::PhysOpPtr(std::make_unique<parallel::ParallelHashGroupByOp>(
+    return exec::PhysOpPtr(std::make_unique<parallel::HashGroupByOp>(
         std::vector<size_t>{}, aggs, *schema, std::move(sort), 8, 64));
   };
   for (bool is_join : {true, false}) {
@@ -596,26 +606,50 @@ TEST(ParallelExecPlanner, ExplainAnalyzeRendersWorkersAndCpu) {
   ASSERT_OK(interp.ExecuteScript("analyze t;", nullptr));
   auto text = interp.ExplainAnalyze("groupby([%1], sum(%2), unique(t))");
   ASSERT_OK(text);
-  EXPECT_NE(text->find("ParallelHashGroupBy"), std::string::npos) << *text;
-  EXPECT_NE(text->find("ParallelDedup"), std::string::npos) << *text;
+  EXPECT_NE(text->find("HashGroupBy"), std::string::npos) << *text;
+  EXPECT_NE(text->find("Dedup"), std::string::npos) << *text;
   EXPECT_NE(text->find("workers="), std::string::npos) << *text;
   EXPECT_NE(text->find("cpu="), std::string::npos) << *text;
 }
 
 TEST(ParallelExecPlanner, ThresholdKeepsSmallQueriesSerial) {
-  // Default threshold (8192 estimated rows) vs a 5-row table: the planner
-  // must keep the serial kernels even with workers available.
   auto db = Database::Open();
   ASSERT_OK(db);
-  lang::Interpreter interp(db->get(), ConfigBuilder().Workers(4).Build());
-  ASSERT_OK(interp.ExecuteScript(
+  ASSERT_OK(lang::Interpreter(db->get()).ExecuteScript(
       "create t(g: int, v: int);"
-      "insert(t, {(1, 10) : 3, (1, 20), (2, 5) : 2, (3, 7), (4, 1)});",
+      "insert(t, {(1, 10) : 3, (1, 20), (2, 5) : 2, (3, 7), (4, 1)});"
+      "analyze t;",
       nullptr));
-  ASSERT_OK(interp.ExecuteScript("analyze t;", nullptr));
-  auto text = interp.Explain("groupby([%1], sum(%2), unique(t))");
-  ASSERT_OK(text);
-  EXPECT_EQ(text->find("Parallel"), std::string::npos) << *text;
+  const char* join_query = "groupby([%1], sum(%4), join(%1 = %3, t, t))";
+  auto join_oracle = Definitional(**db, join_query);
+
+  // Default config (workers 0): every hash kernel runs its one-lane
+  // pipeline, and the join's probe is fused into the group-by's.
+  lang::Interpreter serial(db->get());
+  auto analyzed = serial.ExplainAnalyze(join_query);
+  ASSERT_OK(analyzed);
+  EXPECT_EQ(WorkersOf(*analyzed, "HashJoin"), 1) << *analyzed;
+  EXPECT_EQ(WorkersOf(*analyzed, "HashGroupBy"), 1) << *analyzed;
+  EXPECT_EQ(analyzed->find("parallel:"), std::string::npos) << *analyzed;
+  auto got = serial.Query(join_query);
+  ASSERT_OK(got);
+  EXPECT_REL_EQ(*got, join_oracle);
+
+  // Default threshold (8192 estimated rows) vs a 5-row table: one lane
+  // even with workers available — for the breakers over a one-lane join
+  // too, which must not take the workers from it.
+  lang::Interpreter interp(db->get(), ConfigBuilder().Workers(4).Build());
+  for (const char* query :
+       {"groupby([%1], sum(%2), unique(t))", join_query,
+        "sort([%1], join(%1 = %3, t, t))"}) {
+    auto text = interp.ExplainAnalyze(query);
+    ASSERT_OK(text);
+    EXPECT_EQ(text->find("parallel:"), std::string::npos) << *text;
+    EXPECT_EQ(text->find("workers=4"), std::string::npos) << *text;
+  }
+  got = interp.Query(join_query);
+  ASSERT_OK(got);
+  EXPECT_REL_EQ(*got, join_oracle);
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 //   * ops::Sort with limit = k is the deterministic weighted Top-K — the
 //     physical Top-K heap must agree with it, which also pins "Top-K ==
 //     full sort + weighted prefix".
-//   * SortMergeJoinOp must agree with HashJoinOp and NestedLoopJoinOp on
-//     the same equi-join (multiplicities multiply, Definition 3.1).
+//   * SortMergeJoinOp must agree with HashJoinOp, NestedLoopJoinOp and
+//     ops::Join on the same equi-join (multiplicities multiply,
+//     Definition 3.1).
 //
 // Each property runs over 8 random seeds, all six value domains (bool,
 // int, real, string, decimal, date), multi-key and descending orders,
@@ -30,12 +31,14 @@
 #include "mra/exec/exec_context.h"
 #include "mra/exec/operator.h"
 #include "mra/lang/interpreter.h"
+#include "mra/parallel/parallel_ops.h"
 #include "test_util.h"
 
 namespace mra {
 namespace exec {
 namespace {
 
+using ::mra::parallel::HashJoinOp;
 using ::mra::testing::IntRel;
 using ::mra::testing::RandomIntRelation;
 using ::mra::testing::RandomMixedRelation;
@@ -199,6 +202,9 @@ TEST_P(SortDifferentialTest, SortMergeJoinAgreesWithHashAndNestedLoop) {
         std::make_unique<ScanOp>(&s));
   };
   Relation via_hash = MustExecute(hash, 0);
+  auto oracle = ops::Join(Eq(Attr(0), Attr(2)), r, s);
+  ASSERT_OK(oracle);
+  EXPECT_REL_EQ(via_hash, *oracle);
   EXPECT_REL_EQ(MustExecute(nested, 0), via_hash);
   for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
     EXPECT_REL_EQ(MustExecute(merge, batch_size), via_hash)
@@ -383,6 +389,35 @@ TEST(SortLanguageTest, ForcedSortMergeJoinMatchesHashJoin) {
   auto via_merge = merge_interp.Query("join(%2 = %5, r, r)");
   ASSERT_OK(via_merge);
   EXPECT_REL_EQ(*via_merge, *via_hash);
+}
+
+TEST(SortLanguageTest, BudgetPicksSortMergeForABuildHashWouldOverrun) {
+  // A 10k-row build of two ints with distinct keys charges ~3.0 MB as a
+  // hash table (JoinBuildTable::EstimateBytes).  Under a 2.5 MB budget the
+  // planner must see that and pick the sort-merge join, whose sorts spill,
+  // so the query completes instead of dying with kResourceExhausted.
+  auto db = std::move(Database::Open({}).value());
+  lang::Interpreter loader(db.get());
+  std::string script = "create b(k: int, v: int); insert(b, {";
+  for (int i = 0; i < 10'000; ++i) {
+    script += i ? ",(" : "(";
+    script += std::to_string(i) + "," + std::to_string(i % 7) + ")";
+  }
+  script += "});";
+  ASSERT_OK(loader.ExecuteScript(script, nullptr));
+  const char* query = "join(%1 = %3, b, b)";
+  auto via_hash = loader.Query(query);
+  ASSERT_OK(via_hash);
+
+  lang::InterpreterOptions options;
+  options.governance.query_mem_budget_bytes = 2'500'000;
+  lang::Interpreter interp(db.get(), options);
+  auto explained = interp.Explain(query);
+  ASSERT_OK(explained);
+  EXPECT_NE(explained->find("sort-merge"), std::string::npos) << *explained;
+  auto got = interp.Query(query);
+  ASSERT_OK(got);
+  EXPECT_REL_EQ(*got, *via_hash);
 }
 
 // --- Knob round-trip: registry, session SET, and config builder. ---------
