@@ -11,6 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "mra/catalog/catalog.h"
 #include "mra/common/check.h"
@@ -75,6 +77,33 @@ void Row(const char* format, Args... args) {
 
 inline void Header(const char* experiment, const char* claim) {
   std::printf("\n=== %s ===\n%s\n\n", experiment, claim);
+}
+
+/// The "model name" of the first CPU in /proc/cpuinfo, or "unknown" —
+/// the host line of a committed BENCH_<exp>.json.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+/// `text` as a JSON string literal (quotes and backslashes escaped, control
+/// characters dropped; the CPU model string is the only free text the
+/// BENCH files hold).
+inline std::string JsonString(const std::string& text) {
+  std::string out = "\"";
+  for (char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
 }
 
 /// Dumps the process-wide metrics registry as JSON, tagged with the

@@ -1,14 +1,15 @@
-// E15 — batch-at-a-time execution: NextBatch() vs the tuple-at-a-time
-// volcano Next() loop on the canonical scan → filter → project pipeline.
+// E15 — batch-at-a-time execution: NextBatch() at the default capacity
+// (1024 rows) vs capacity 1 on the canonical scan → filter → project
+// pipeline.
 //
-// The per-row cost of tuple-at-a-time execution is two virtual calls plus
-// metrics bookkeeping per operator; batching amortizes both across
-// RowBatch::capacity rows and unlocks the compiled-predicate and
-// attribute-only-projection fast paths (docs/EXECUTION.md).  The summary
-// block times the 1M-row pipeline both ways and reports the speedup —
-// the acceptance bar is ≥ 2× — and both executions must produce the same
-// multiset (asserted).  Prints "REGRESSION" when batching is *slower*, so
-// the CI smoke run can grep for it.
+// At capacity 1 every row pays the per-pull costs — a virtual call, the
+// governance check and the metrics update per operator — that a full
+// batch amortizes across RowBatch::capacity rows.  The summary block times
+// the pipeline both ways (best of 3) and reports the speedup; both drains
+// must produce the multiset the definitional σ/π compute (asserted).
+// Prints "REGRESSION" when the default capacity is *slower* than
+// capacity 1, so the CI smoke run can grep for it, and writes the host,
+// scale, timings and verdict to BENCH_e15.json in the working directory.
 //
 //   $ ./build/bench/e15_batch_exec                  # full 1M-row summary
 //   $ ./build/bench/e15_batch_exec --rows 50000     # CI smoke scale
@@ -17,9 +18,13 @@
 
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "bench_util.h"
+#include "mra/algebra/ops.h"
 #include "mra/exec/operator.h"
 #include "mra/expr/scalar_expr.h"
 
@@ -41,13 +46,14 @@ Relation MakePipelineInput(size_t rows) {
   return Unwrap(util::MakeIntRelation(options));
 }
 
+ExprPtr PipelineCondition() { return Lt(Attr(0), Lit(kValueRange / 2)); }
+
 // σ_{%1 < kValueRange/2} then π_{%1}: ~50% selectivity, both stages on the
 // operators' batch fast paths (compiled predicate, attribute-only
 // projection).
 exec::PhysOpPtr BuildPipeline(const Relation* input) {
   auto filter = std::make_unique<exec::FilterOp>(
-      Lt(Attr(0), Lit(kValueRange / 2)),
-      std::make_unique<exec::ScanOp>(input));
+      PipelineCondition(), std::make_unique<exec::ScanOp>(input));
   RelationSchema out_schema("p", {Attribute{"c1", Type::Int()}});
   std::vector<ExprPtr> exprs;
   exprs.push_back(Attr(0));
@@ -58,105 +64,108 @@ exec::PhysOpPtr BuildPipeline(const Relation* input) {
 // Pulls every row through the operator tree without materialising a
 // result relation: this times the pipeline itself — scan, filter,
 // project, and the inter-operator hand-off — which is what the batch
-// protocol changes.  (Materialising into a hash Relation costs the same
-// per row in both modes and only dilutes the comparison; result identity
-// is asserted separately below via ExecuteToRelation.)  Returns the
-// multiplicity-weighted row count so the work cannot be optimised away.
-uint64_t DrainPipeline(exec::PhysicalOperator& root, size_t batch_size) {
+// capacity changes.  (Materialising into a hash Relation costs the same
+// per row at every capacity and only dilutes the comparison; result
+// identity is asserted separately below via ExecuteToRelation.)  Returns
+// the multiplicity-weighted row count so the work cannot be optimised
+// away.
+uint64_t DrainPipeline(exec::PhysicalOperator& root, size_t capacity) {
   MRA_CHECK(root.Open().ok());
   uint64_t weighted = 0;
-  if (batch_size == 0) {
-    while (true) {
-      auto row = root.Next();
-      MRA_CHECK(row.ok());
-      if (!row->has_value()) break;
-      weighted += (*row)->count;
-    }
-  } else {
-    exec::RowBatch batch(batch_size);
-    while (true) {
-      MRA_CHECK(root.NextBatch(batch).ok());
-      if (batch.empty()) break;
-      for (const exec::Row& row : batch) weighted += row.count;
-    }
+  exec::RowBatch batch(capacity);
+  while (true) {
+    MRA_CHECK(root.NextBatch(batch).ok());
+    if (batch.empty()) break;
+    for (const exec::Row& row : batch) weighted += row.count;
   }
   root.Close();
   return weighted;
 }
 
-double SecondsToDrain(const Relation* input, size_t batch_size,
+double SecondsToDrain(const Relation* input, size_t capacity,
                       uint64_t* weighted_out) {
   exec::PhysOpPtr root = BuildPipeline(input);
   auto start = std::chrono::steady_clock::now();
-  *weighted_out = DrainPipeline(*root, batch_size);
+  *weighted_out = DrainPipeline(*root, capacity);
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
 }
 
 void BM_ScanFilterProject(benchmark::State& state) {
-  // Arg is the batch size; 0 selects the legacy row-at-a-time Next() loop.
+  // Arg is the batch capacity.
   Relation input = MakePipelineInput(100'000);
-  size_t batch_size = static_cast<size_t>(state.range(0));
+  size_t capacity = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     exec::PhysOpPtr root = BuildPipeline(&input);
-    benchmark::DoNotOptimize(DrainPipeline(*root, batch_size));
+    benchmark::DoNotOptimize(DrainPipeline(*root, capacity));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(input.distinct_size()));
 }
-BENCHMARK(BM_ScanFilterProject)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(4096);
+BENCHMARK(BM_ScanFilterProject)->Arg(1)->Arg(64)->Arg(1024)->Arg(4096);
 
 void VerifySpeedup(size_t rows) {
   Header("E15: batch-at-a-time execution",
-         "Claim: pulling RowBatches through scan->filter->project beats "
-         "the tuple-at-a-time Next() loop >= 2x at the 1M-row scale, with "
-         "an identical result multiset.");
+         "Claim: pulling full RowBatches (capacity 1024) through "
+         "scan->filter->project is no slower than pulling one row per "
+         "NextBatch call, with the definitional result multiset.");
   Relation input = MakePipelineInput(rows);
 
-  // Result identity first (materialised through both protocols): the
-  // speedup claim is worthless if batching changes the answer.
-  exec::PhysOpPtr tuple_root = BuildPipeline(&input);
-  Relation tuple_result =
-      Unwrap(exec::ExecuteToRelation(*tuple_root, /*batch_size=*/0));
-  exec::PhysOpPtr batch_root = BuildPipeline(&input);
-  Relation batch_result =
-      Unwrap(exec::ExecuteToRelation(*batch_root, exec::kDefaultBatchSize));
-  MRA_CHECK(tuple_result.Equals(batch_result))
-      << "batched execution changed the result multiset";
+  // Result identity first: the speedup is worthless if either capacity
+  // changes the answer.
+  Relation selected = Unwrap(ops::Select(PipelineCondition(), input));
+  Relation expected = Unwrap(ops::ProjectIndexes({0}, selected));
+  for (size_t capacity : {size_t{1}, exec::kDefaultBatchSize}) {
+    exec::PhysOpPtr root = BuildPipeline(&input);
+    MRA_CHECK(Unwrap(exec::ExecuteToRelation(*root, capacity)).Equals(expected))
+        << "capacity " << capacity << " changed the result multiset";
+  }
 
-  // Best-of-3 per mode: these are wall-clock seconds, so guard against a
-  // scheduler hiccup polluting the claim.
-  double tuple_s = 1e30;
+  // Best-of-3 per capacity: these are wall-clock seconds, so guard against
+  // a scheduler hiccup polluting the ratio.
+  double single_s = 1e30;
   double batch_s = 1e30;
-  uint64_t tuple_weighted = 0;
+  uint64_t single_weighted = 0;
   uint64_t batch_weighted = 0;
   for (int rep = 0; rep < 3; ++rep) {
-    tuple_s = std::min(tuple_s, SecondsToDrain(&input, 0, &tuple_weighted));
-    batch_s = std::min(
-        batch_s, SecondsToDrain(&input, exec::kDefaultBatchSize,
-                                &batch_weighted));
+    single_s = std::min(single_s, SecondsToDrain(&input, 1, &single_weighted));
+    batch_s = std::min(batch_s, SecondsToDrain(&input, exec::kDefaultBatchSize,
+                                               &batch_weighted));
   }
-  MRA_CHECK(tuple_weighted == batch_weighted)
-      << "protocols drained different bag cardinalities";
+  MRA_CHECK(single_weighted == expected.size() &&
+            batch_weighted == expected.size())
+      << "capacities drained different bag cardinalities";
 
-  double speedup = tuple_s / batch_s;
-  Row("%-12s %-18s %-14s %-16s %-10s", "rows", "tuple-at-a-time s",
-      "batch(1024) s", "rows/s batched", "speedup");
-  Row("%-12zu %-18.3f %-14.3f %-16.3g %.2fx", rows, tuple_s, batch_s,
-      static_cast<double>(rows) / batch_s, speedup);
+  const double single_rps = static_cast<double>(rows) / single_s;
+  const double batch_rps = static_cast<double>(rows) / batch_s;
+  const double speedup = single_s / batch_s;
+  const char* verdict = speedup >= 1.0 ? "pass" : "fail";
+  Row("%-12s %-16s %-16s %-16s %-16s %-10s", "rows", "capacity 1 s",
+      "capacity 1024 s", "rows/s @1", "rows/s @1024", "speedup");
+  Row("%-12zu %-16.3f %-16.3f %-16.3g %-16.3g %.2fx", rows, single_s,
+      batch_s, single_rps, batch_rps, speedup);
   if (speedup < 1.0) {
-    Row("REGRESSION: batched execution slower than tuple-at-a-time "
-        "(%.2fx)", speedup);
+    Row("REGRESSION: capacity 1024 slower than capacity 1 (%.2fx)", speedup);
   }
   Row("");
-  Row("result: %llu rows (%llu distinct), identical under both protocols",
-      static_cast<unsigned long long>(batch_result.size()),
-      static_cast<unsigned long long>(batch_result.distinct_size()));
+  Row("result: %llu rows (%llu distinct), identical at both capacities",
+      static_cast<unsigned long long>(expected.size()),
+      static_cast<unsigned long long>(expected.distinct_size()));
+
+  std::ostringstream json;
+  json << "{\n  \"experiment\": \"E15\",\n"
+       << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"cpu_model\": " << JsonString(CpuModel()) << "},\n"
+       << "  \"scale\": {\"rows\": " << rows << "},\n"
+       << "  \"seconds_best_of_3\": {\"1\": " << single_s
+       << ", \"1024\": " << batch_s << "},\n"
+       << "  \"rows_per_s\": {\"1\": " << single_rps
+       << ", \"1024\": " << batch_rps << "},\n"
+       << "  \"gates\": [{\"name\": \"capacity 1024 no slower than "
+          "capacity 1\", \"value\": "
+       << speedup << ", \"verdict\": \"" << verdict << "\"}]\n}\n";
+  std::ofstream("BENCH_e15.json") << json.str();
+  Row("wrote BENCH_e15.json");
 }
 
 }  // namespace

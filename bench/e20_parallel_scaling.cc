@@ -139,31 +139,6 @@ LayerSplit MeasureLayers(const Relation* left, const Relation* right,
   return split;
 }
 
-/// The "model name" of the first CPU in /proc/cpuinfo, or "unknown".
-std::string CpuModel() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    size_t colon = line.find(':');
-    if (colon == std::string::npos) break;
-    size_t start = line.find_first_not_of(' ', colon + 1);
-    return start == std::string::npos ? "" : line.substr(start);
-  }
-  return "unknown";
-}
-
-/// `text` as a JSON string literal (quotes and backslashes escaped; the
-/// CPU model string is the only free text written).
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out + "\"";
-}
-
 void VerifyScaling(size_t rows) {
   Header("E20: morsel-driven parallel scaling",
          "Claim: the hash join + group-by pipeline at 1M rows reaches "

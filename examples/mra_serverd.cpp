@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   // pins its cost under 3%.  --no-exec-timing turns it off.
   bool exec_timing = true;
 
-  // ExecConfig-owned flags (--batch-size, --workers, --statement-timeout-ms,
+  // ExecConfig-owned flags (--workers, --morsel-size, --statement-timeout-ms,
   // …) route through the shared registry; the loop below only sees the
   // server-specific remainder.
   if (Status flags = ParseConfigFlags(&argc, argv, &options.interpreter);

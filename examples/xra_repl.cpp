@@ -1,7 +1,7 @@
 // An interactive shell for XRA — the textual extended relational algebra,
 // after PRISMA/DB's primary database language.
 //
-//   $ ./build/examples/xra_repl [database-directory] [--batch-size N]
+//   $ ./build/examples/xra_repl [database-directory] [--workers N]
 //   $ ./build/examples/xra_repl --workers 4 --query-mem-budget-mb 64
 //   $ ./build/examples/xra_repl --connect host:port
 //
@@ -10,8 +10,8 @@
 // wire protocol to a running mra_serverd instead of embedding an engine
 // (statements run server-side; \metrics shows the *server's* registry).
 // Every ExecConfig knob is a flag (mra::ParseConfigFlags — the same
-// registry behind `set <knob> = <value>;` and `\set`): --batch-size,
-// --workers, --morsel-size, --statement-timeout-ms, … (--help lists them;
+// registry behind `set <knob> = <value>;` and `\set`): --workers,
+// --morsel-size, --statement-timeout-ms, … (--help lists them;
 // docs/PARALLELISM.md has the reference).  In --connect mode the server's
 // own settings apply.  --slow-query-ms N arms the embedded slow-query log
 // (\slowlog): queries at or over N ms land there as JSON lines (0 logs
@@ -87,7 +87,7 @@ Conditions/expressions use %1, %2, ... for attributes; literals include
 Meta: \h help, \d relations, \e <E> explain plans, \ea <E> explain analyze,
       \analyze <name> collect optimizer statistics (same as `analyze <name>;`),
       \set show all knobs, \set <knob> <value> override one (same registry
-      as `set <knob> = <value>;` — workers, batch_size, morsel_size, …),
+      as `set <knob> = <value>;` — workers, morsel_size, optimize, …),
       \metrics [json|prom|reset] process metrics, \trace [on|off] spans,
       \slowlog slow-query log, \checkpoint, \q quit.
 
@@ -418,7 +418,7 @@ int RunShell(session::Session& sess, session::EmbeddedSession* embedded,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // ExecConfig-owned flags (--batch-size, --workers, --no-optimize, …) go
+  // ExecConfig-owned flags (--workers, --morsel-size, --no-optimize, …) go
   // through the shared funnel; what remains is REPL-specific.
   ExecConfig config;
   if (Status flags = ParseConfigFlags(&argc, argv, &config); !flags.ok()) {
@@ -440,6 +440,11 @@ int main(int argc, char** argv) {
                    "  --slow-query-ms N       arm the slow-query log\n"
                 << ConfigFlagHelp();
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      // A flag no funnel recognised (a removed knob, a typo) must not be
+      // taken for the database directory.
+      std::cerr << "unknown flag " << arg << " (--help lists them)\n";
+      return 2;
     } else {
       directory = std::move(arg);
     }

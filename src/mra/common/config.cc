@@ -55,13 +55,6 @@ Status ParseBool(std::string_view knob, std::string_view value, bool* out) {
 std::string BoolName(bool v) { return v ? "true" : "false"; }
 
 const Knob kKnobs[] = {
-    {"batch_size", false,
-     "rows per executor NextBatch pull; 0 = row-at-a-time",
-     [](ExecConfig* c, uint64_t n, bool) {
-       c->exec.batch_size = static_cast<size_t>(n);
-       return Status::OK();
-     },
-     [](const ExecConfig& c) { return std::to_string(c.exec.batch_size); }},
     {"use_physical_exec", true,
      "physical operators (off = definitional evaluator)",
      [](ExecConfig* c, uint64_t, bool b) {

@@ -5,7 +5,7 @@
 // (lang::InterpreterOptions is a deprecated alias).
 //
 // Three entry points:
-//  * field access         — `config.exec.batch_size = 64;`
+//  * field access         — `config.exec.workers = 4;`
 //  * ConfigBuilder        — fluent construction for tests and embedders;
 //  * string-keyed knobs   — `config.Set("workers", "4")` backs the
 //    `SET <knob> = <value>;` statement (XRA + SQL) and the REPL `\set`,
@@ -31,11 +31,9 @@
 namespace mra {
 
 struct ExecConfig {
-  /// Executor shape: batching, parallelism, sort spill and join strategy.
+  /// Executor shape: engine, parallelism, sort spill and join strategy.
+  /// A plan drains in batches of exec::kDefaultBatchSize rows.
   struct Exec {
-    /// Rows pulled per NextBatch() call when draining a physical plan;
-    /// 0 selects the legacy row-at-a-time Next() loop.
-    size_t batch_size = 1024;
     /// Execute through the physical operators (mra/exec); when false the
     /// definitional evaluator (mra/algebra) runs instead.
     bool use_physical_exec = true;
@@ -98,7 +96,7 @@ struct ExecConfig {
     bool block_on_txn_slot = false;
   } session;
 
-  /// Sets a knob by name ("workers", "batch_size", …; KnobNames() lists
+  /// Sets a knob by name ("workers", "morsel_size", …; KnobNames() lists
   /// them).  Backs `SET <knob> = <value>;` and `\set`.  Returns
   /// InvalidArgument for an unknown knob or an unparseable value.
   Status Set(std::string_view knob, std::string_view value);
@@ -114,10 +112,9 @@ struct ExecConfig {
 };
 
 /// Fluent builder so embedders construct a config in one expression:
-///   auto cfg = ConfigBuilder().Workers(4).BatchSize(256).Build();
+///   auto cfg = ConfigBuilder().Workers(4).MorselSize(256).Build();
 class ConfigBuilder {
  public:
-  ConfigBuilder& BatchSize(size_t v) { cfg_.exec.batch_size = v; return *this; }
   ConfigBuilder& UsePhysicalExec(bool v) {
     cfg_.exec.use_physical_exec = v;
     return *this;
@@ -167,8 +164,8 @@ class ConfigBuilder {
   ExecConfig cfg_;
 };
 
-/// Consumes the config-owned flags from an argv (`--batch-size 64`,
-/// `--workers 4`, `--no-optimize`, `--query-mem-budget-mb 32`, …),
+/// Consumes the config-owned flags from an argv (`--workers 4`,
+/// `--morsel-size 64`, `--no-optimize`, `--query-mem-budget-mb 32`, …),
 /// compacting argv in place so the caller's own flag loop only sees what
 /// is left.  Every knob in the registry is reachable: value knobs as
 /// `--<knob-with-hyphens> V`, boolean knobs as `--<knob>` / `--no-<knob>`.

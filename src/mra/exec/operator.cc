@@ -96,6 +96,19 @@ uint64_t ApproxRelationBytes(const Relation& rel) {
   return bytes;
 }
 
+// The emission loop of every operator that streams a relation it holds or
+// borrows: copy-assigns rows from `it` into `out`'s recycled slots until the
+// batch fills or the relation ends.  The slots' tuple storage from the
+// previous batch is reused, so a steady-state drain never allocates.
+void EmitRelation(const Relation& rel, Relation::const_iterator& it,
+                  RowBatch& out) {
+  for (; it != rel.end() && !out.full(); ++it) {
+    Row& slot = out.AppendSlot();
+    slot.tuple = it->first;
+    slot.count = it->second;
+  }
+}
+
 // Per-operator batch latency distribution, only fed while exec timing is
 // on (EXPLAIN ANALYZE, or a server started with timing enabled).
 obs::Histogram* OpBatchLatency() {
@@ -144,8 +157,8 @@ void RenderAnalyzed(const PhysicalOperator& op, int depth, std::ostream& out) {
   }
   out << "  (actual rows=" << m.rows_emitted
       << " weighted=" << m.weighted_rows;
-  // `batches` and `time` render uniformly across nodes: `-` marks the
-  // row-at-a-time path (no batches) and an untimed run respectively, so
+  // `batches` and `time` render uniformly across nodes: `-` marks an
+  // operator that emitted no batch and an untimed run respectively, so
   // the columns line up whatever mode produced the tree.
   out << " batches=";
   if (m.batches_emitted > 0) {
@@ -205,7 +218,7 @@ Status PhysicalOperator::Open() {
   }
   // A failed Open leaves the operator Closed: resources the impl did
   // acquire are released by Close-idempotent destruction paths, and the
-  // contract (Next only after a successful Open) stays enforced.  Budget
+  // contract (NextBatch only after a successful Open) stays enforced.  Budget
   // charges do not wait for the destructor — a build that tripped the
   // budget mid-Open hands its bytes back to the query right here.
   state_ = s.ok() ? State::kOpen : State::kClosed;
@@ -214,32 +227,6 @@ Status PhysicalOperator::Open() {
     charged_bytes_ = 0;
   }
   return s;
-}
-
-Result<std::optional<Row>> PhysicalOperator::Next() {
-  MRA_CHECK(state_ == State::kOpen) << "Next() before Open()";
-  if (exec_ctx_ != nullptr) {
-    // The row-at-a-time path checks per row; the relaxed-load cost is in
-    // the noise next to the per-row virtual dispatch it rides on.
-    Status g = exec_ctx_->Check();
-    if (!g.ok()) return g;
-  }
-  if (timing_) {
-    uint64_t t0 = NowNs();
-    Result<std::optional<Row>> row = NextImpl();
-    metrics_.next_ns += NowNs() - t0;
-    if (row.ok() && row->has_value()) {
-      ++metrics_.rows_emitted;
-      metrics_.weighted_rows += (*row)->count;
-    }
-    return row;
-  }
-  Result<std::optional<Row>> row = NextImpl();
-  if (row.ok() && row->has_value()) {
-    ++metrics_.rows_emitted;
-    metrics_.weighted_rows += (*row)->count;
-  }
-  return row;
 }
 
 Status PhysicalOperator::NextBatch(RowBatch& out) {
@@ -288,18 +275,6 @@ void PhysicalOperator::PublishHashCounters() {
   HashProbeRowsCounter()->Inc(metrics_.probe_rows);
 }
 
-// Default adapter: any operator with only a row-at-a-time NextImpl still
-// serves batches.  Calls NextImpl directly (not the public Next()) so the
-// batch wrapper above is the single place metrics accrue.
-Status PhysicalOperator::NextBatchImpl(RowBatch& out) {
-  while (!out.full()) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, NextImpl());
-    if (!row.has_value()) break;
-    out.Add(*std::move(row));
-  }
-  return Status::OK();
-}
-
 void PhysicalOperator::Close() {
   if (state_ != State::kOpen) return;  // Contract: double/early Close is safe.
   if (exec_ctx_ != nullptr && FpFired(CancelCloseFp())) {
@@ -336,19 +311,11 @@ std::string RenderPlanWithMetrics(const PhysicalOperator& root) {
   return out.str();
 }
 
-Result<Relation> ExecuteToRelation(PhysicalOperator& op, size_t batch_size) {
+Result<Relation> ExecuteToRelation(PhysicalOperator& op, size_t capacity) {
   MRA_RETURN_IF_ERROR(op.Open());
   Relation out(op.schema());
   auto drain = [&]() -> Status {
-    if (batch_size == 0) {
-      // Legacy row-at-a-time drain.
-      while (true) {
-        MRA_ASSIGN_OR_RETURN(std::optional<Row> row, op.Next());
-        if (!row.has_value()) return Status::OK();
-        out.InsertUnchecked(std::move(row->tuple), row->count);
-      }
-    }
-    RowBatch batch(batch_size);
+    RowBatch batch(capacity);
     while (true) {
       MRA_RETURN_IF_ERROR(op.NextBatch(batch));
       if (batch.empty()) return Status::OK();
@@ -376,22 +343,8 @@ Status ScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> ScanOp::NextImpl() {
-  if (it_ == relation_->end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
-}
-
 Status ScanOp::NextBatchImpl(RowBatch& out) {
-  for (; it_ != relation_->end() && !out.full(); ++it_) {
-    // Copy-assign into the recycled slot: the tuple's value storage from
-    // the previous batch is reused, so a steady-state scan never
-    // allocates.
-    Row& slot = out.AppendSlot();
-    slot.tuple = it_->first;
-    slot.count = it_->second;
-  }
+  EmitRelation(*relation_, it_, out);
   return Status::OK();
 }
 
@@ -408,19 +361,8 @@ Status ConstScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> ConstScanOp::NextImpl() {
-  if (it_ == relation_.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
-}
-
 Status ConstScanOp::NextBatchImpl(RowBatch& out) {
-  for (; it_ != relation_.end() && !out.full(); ++it_) {
-    Row& slot = out.AppendSlot();
-    slot.tuple = it_->first;
-    slot.count = it_->second;
-  }
+  EmitRelation(relation_, it_, out);
   return Status::OK();
 }
 
@@ -438,15 +380,6 @@ FilterOp::FilterOp(ExprPtr condition, PhysOpPtr child)
       compiled_(CompiledPredicate::Compile(condition_, child_->schema())) {}
 
 Status FilterOp::OpenImpl() { return child_->Open(); }
-
-Result<std::optional<Row>> FilterOp::NextImpl() {
-  while (true) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-    if (!row.has_value()) return row;
-    MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*condition_, row->tuple));
-    if (keep) return row;
-  }
-}
 
 Status FilterOp::NextBatchImpl(RowBatch& out) {
   // In-place: the child fills `out`, then surviving rows are compacted to
@@ -498,13 +431,6 @@ ComputeOp::ComputeOp(std::vector<ExprPtr> exprs, RelationSchema output_schema,
 
 Status ComputeOp::OpenImpl() { return child_->Open(); }
 
-Result<std::optional<Row>> ComputeOp::NextImpl() {
-  MRA_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-  if (!row.has_value()) return row;
-  MRA_ASSIGN_OR_RETURN(Tuple projected, ProjectTuple(exprs_, row->tuple));
-  return std::optional<Row>(Row{std::move(projected), row->count});
-}
-
 Status ComputeOp::NextBatchImpl(RowBatch& out) {
   // In-place: the child fills `out` and each row's tuple is rewritten
   // where it sits (multiplicities pass through unchanged).
@@ -544,15 +470,6 @@ Status UnionAllOp::OpenImpl() {
   on_right_ = false;
   MRA_RETURN_IF_ERROR(left_->Open());
   return right_->Open();
-}
-
-Result<std::optional<Row>> UnionAllOp::NextImpl() {
-  if (!on_right_) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, left_->Next());
-    if (row.has_value()) return row;
-    on_right_ = true;
-  }
-  return right_->Next();
 }
 
 Status UnionAllOp::NextBatchImpl(RowBatch& out) {
@@ -599,11 +516,9 @@ Status DifferenceOp::OpenImpl() {
   return ChargeMemTo(ApproxRelationBytes(result_));
 }
 
-Result<std::optional<Row>> DifferenceOp::NextImpl() {
-  if (it_ == result_.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
+Status DifferenceOp::NextBatchImpl(RowBatch& out) {
+  EmitRelation(result_, it_, out);
+  return Status::OK();
 }
 
 void DifferenceOp::CloseImpl() { result_.Clear(); }
@@ -633,11 +548,9 @@ Status IntersectOp::OpenImpl() {
   return ChargeMemTo(ApproxRelationBytes(result_));
 }
 
-Result<std::optional<Row>> IntersectOp::NextImpl() {
-  if (it_ == result_.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
+Status IntersectOp::NextBatchImpl(RowBatch& out) {
+  EmitRelation(result_, it_, out);
+  return Status::OK();
 }
 
 void IntersectOp::CloseImpl() { result_.Clear(); }
@@ -653,44 +566,64 @@ NestedLoopJoinOp::NestedLoopJoinOp(ExprPtr condition_or_null, PhysOpPtr left,
 
 Status NestedLoopJoinOp::OpenImpl() {
   right_rows_.clear();
-  MRA_RETURN_IF_ERROR(right_->Open());
-  uint64_t materialized_bytes = 0;
-  while (true) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, right_->Next());
-    if (!row.has_value()) break;
-    materialized_bytes += ApproxTupleBytes(row->tuple) + sizeof(Row);
-    right_rows_.push_back(std::move(*row));
-    MRA_RETURN_IF_ERROR(ChargeMemTo(materialized_bytes));
-  }
-  right_->Close();
-  current_left_.reset();
+  left_batch_.Clear();
+  left_pos_ = 0;
   right_pos_ = 0;
+  MRA_RETURN_IF_ERROR(right_->Open());
+  auto materialize = [&]() -> Status {
+    uint64_t materialized_bytes = 0;
+    RowBatch batch;
+    while (true) {
+      MRA_RETURN_IF_ERROR(right_->NextBatch(batch));
+      if (batch.empty()) return Status::OK();
+      for (Row& row : batch) {
+        materialized_bytes += ApproxTupleBytes(row.tuple) + sizeof(Row);
+        right_rows_.push_back(std::move(row));
+      }
+      MRA_RETURN_IF_ERROR(ChargeMemTo(materialized_bytes));
+    }
+  };
+  // Close the right side on every path, so a kill mid-materialisation
+  // still returns its budget charges.
+  Status materialized = materialize();
+  right_->Close();
+  MRA_RETURN_IF_ERROR(materialized);
   return left_->Open();
 }
 
-Result<std::optional<Row>> NestedLoopJoinOp::NextImpl() {
-  while (true) {
-    if (!current_left_.has_value()) {
-      MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_.has_value()) return std::optional<Row>();
-      right_pos_ = 0;
+Status NestedLoopJoinOp::NextBatchImpl(RowBatch& out) {
+  // Pairs each left row with every right row, resuming the pairing where
+  // the last full batch stopped.  Each pair is concatenated into a
+  // recycled slot and truncated back off when the condition rejects it.
+  if (right_rows_.empty()) return Status::OK();
+  while (!out.full()) {
+    if (left_pos_ == left_batch_.size()) {
+      MRA_RETURN_IF_ERROR(left_->NextBatch(left_batch_));
+      left_pos_ = 0;
+      if (left_batch_.empty()) return Status::OK();
     }
-    while (right_pos_ < right_rows_.size()) {
+    const Row& lhs = left_batch_[left_pos_];
+    while (right_pos_ < right_rows_.size() && !out.full()) {
       const Row& rhs = right_rows_[right_pos_++];
-      Tuple combined = current_left_->tuple.Concat(rhs.tuple);
+      Row& slot = out.AppendSlot();
+      slot.tuple.AssignConcat(lhs.tuple, rhs.tuple);
+      slot.count = lhs.count * rhs.count;
       if (condition_ != nullptr) {
-        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*condition_, combined));
-        if (!keep) continue;
+        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*condition_, slot.tuple));
+        if (!keep) out.Truncate(out.size() - 1);
       }
-      return std::optional<Row>(
-          Row{std::move(combined), current_left_->count * rhs.count});
     }
-    current_left_.reset();
+    if (right_pos_ == right_rows_.size()) {
+      right_pos_ = 0;
+      ++left_pos_;
+    }
   }
+  return Status::OK();
 }
 
 void NestedLoopJoinOp::CloseImpl() {
   right_rows_.clear();
+  left_batch_.Clear();
   left_->Close();
 }
 
@@ -709,11 +642,9 @@ Status ClosureOp::OpenImpl() {
   return ChargeMemTo(ApproxRelationBytes(result_));
 }
 
-Result<std::optional<Row>> ClosureOp::NextImpl() {
-  if (it_ == result_.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
+Status ClosureOp::NextBatchImpl(RowBatch& out) {
+  EmitRelation(result_, it_, out);
+  return Status::OK();
 }
 
 void ClosureOp::CloseImpl() { result_.Clear(); }
@@ -738,19 +669,8 @@ Status SubplanCacheOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> SubplanCacheOp::NextImpl() {
-  if (it_ == state_->cached.end()) return std::optional<Row>();
-  Row row{it_->first, it_->second};
-  ++it_;
-  return std::optional<Row>(std::move(row));
-}
-
 Status SubplanCacheOp::NextBatchImpl(RowBatch& out) {
-  for (; it_ != state_->cached.end() && !out.full(); ++it_) {
-    Row& slot = out.AppendSlot();
-    slot.tuple = it_->first;
-    slot.count = it_->second;
-  }
+  EmitRelation(state_->cached, it_, out);
   return Status::OK();
 }
 

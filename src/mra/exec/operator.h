@@ -1,4 +1,4 @@
-// Physical operators: a volcano-style (Open/Next/Close) executor whose rows
+// Physical operators: a pull executor (Open/NextBatch/Close) whose rows
 // are (tuple, multiplicity) pairs.  Streaming multiplicities instead of
 // repeated tuples is the practical payoff of the paper's multi-set
 // semantics: a tuple occurring a thousand times costs one row.
@@ -8,23 +8,21 @@
 // exact per-tuple totals (difference, intersection, group-by) materialise
 // internally.
 //
-// The public Open/Next/Close entry points are non-virtual wrappers around
-// the per-operator OpenImpl/NextImpl/CloseImpl hooks.  The wrappers own the
-// operator lifecycle contract — Open before Next, Close idempotent, Close
-// without Open a no-op — and collect per-operator execution metrics
-// (obs::OperatorMetrics): emitted rows and multiplicity-weighted counts
-// always, wall time when obs::ExecTimingEnabled() (EXPLAIN ANALYZE flips
-// it around a run).
+// The public Open/NextBatch/Close entry points are non-virtual wrappers
+// around the per-operator OpenImpl/NextBatchImpl/CloseImpl hooks.  The
+// wrappers own the operator lifecycle contract — Open before NextBatch,
+// Close idempotent, Close without Open a no-op — and collect per-operator
+// execution metrics (obs::OperatorMetrics): emitted rows and
+// multiplicity-weighted counts always, wall time when
+// obs::ExecTimingEnabled() (EXPLAIN ANALYZE flips it around a run).
 //
-// Batch-at-a-time execution: NextBatch(RowBatch&) is the same wrapper
-// pattern over NextBatchImpl, which by default loops NextImpl so every
-// operator speaks both protocols.  Hot pipeline operators (scan, filter,
-// projection, union) override NextBatchImpl natively: one virtual call and
-// one metrics update amortize over up to a whole batch of rows, and
+// NextBatch(RowBatch&) is the only pull protocol: one virtual call and one
+// metrics update amortize over up to a whole batch of rows, and
 // filter/projection compile their expressions once per Open instead of
 // tree-walking per row.  A drained batch (out.empty() after a successful
-// call) is end of stream.  The two protocols share cursor state — consume
-// an open operator through one of them, not both interleaved.
+// call) is end of stream.  Operators that materialise their result
+// (difference, intersection, closure, the subplan cache) emit it through
+// the same relation cursor the scans use.
 //
 // The hash kernels — ⋈ on equi-keys, Γ and δ — are not here: each has one
 // implementation, the lane-pipeline kernel in mra/parallel/parallel_ops.h,
@@ -130,12 +128,9 @@ class PhysicalOperator {
   virtual ~PhysicalOperator() = default;
 
   /// Prepares the operator (builds hash tables, opens children).  Must be
-  /// called before Next(); reopening a Closed operator restarts it (and
+  /// called before NextBatch(); reopening a Closed operator restarts it (and
   /// resets its metrics), reopening an Open one is a programming error.
   Status Open();
-
-  /// Produces the next row, or nullopt at end of stream.
-  Result<std::optional<Row>> Next();
 
   /// Produces the next batch of rows: clears `out`, then fills it with up
   /// to out.capacity() rows.  An empty `out` after a successful call is
@@ -195,14 +190,10 @@ class PhysicalOperator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  virtual Result<std::optional<Row>> NextImpl() = 0;
-  virtual void CloseImpl() = 0;
-
   /// Fills `out` (already cleared) with up to out.capacity() rows; leave
-  /// it empty at end of stream.  The default adapter loops NextImpl, so
-  /// row-at-a-time operators work batched unchanged; hot operators
-  /// override it to amortize work across the whole batch.
-  virtual Status NextBatchImpl(RowBatch& out);
+  /// it empty at end of stream.
+  virtual Status NextBatchImpl(RowBatch& out) = 0;
+  virtual void CloseImpl() = 0;
 
   /// Memory accounting against the per-query budget.  ChargeMemTo makes
   /// this operator's cumulative charge equal `total_bytes` (charging or
@@ -257,11 +248,10 @@ using PhysOpPtr = std::unique_ptr<PhysicalOperator>;
 Status CheckBatchBoundary(ExecContext* ctx);
 
 /// Drains `op` (Open/NextBatch*/Close) into a materialised relation,
-/// pulling `batch_size` rows per call; batch_size 0 selects the legacy
-/// row-at-a-time Next() loop (kept for differential testing and the
-/// tuple-vs-batch benchmarks).
+/// pulling batches of `capacity` rows.  Production drains at the default;
+/// tests pass small capacities to put batch edges everywhere.
 Result<Relation> ExecuteToRelation(PhysicalOperator& op,
-                                   size_t batch_size = kDefaultBatchSize);
+                                   size_t capacity = kDefaultBatchSize);
 
 /// Renders the operator tree annotated per node with estimated vs. actual
 /// cardinalities, estimation error, wall time and hash-table peaks — the
@@ -281,7 +271,6 @@ class ScanOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -301,7 +290,6 @@ class ConstScanOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -329,7 +317,6 @@ class FilterOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -359,7 +346,6 @@ class ComputeOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -390,7 +376,6 @@ class UnionAllOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -413,7 +398,7 @@ class DifferenceOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -436,7 +421,7 @@ class IntersectOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -447,8 +432,8 @@ class IntersectOp final : public PhysicalOperator {
 };
 
 /// × and ⋈_φ without equi-keys: materialises the right input, then streams
-/// the left, pairing each left row with every right row; output
-/// multiplicity is the product of the input multiplicities
+/// the left batch by batch, pairing each left row with every right row;
+/// output multiplicity is the product of the input multiplicities
 /// (Definition 3.1).  A null condition means plain product.
 class NestedLoopJoinOp final : public PhysicalOperator {
  public:
@@ -464,7 +449,7 @@ class NestedLoopJoinOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -473,7 +458,10 @@ class NestedLoopJoinOp final : public PhysicalOperator {
   PhysOpPtr left_;
   PhysOpPtr right_;
   std::vector<Row> right_rows_;
-  std::optional<Row> current_left_;
+  // Probe cursor: the current left batch, the row in it, and the next
+  // right row to pair it with.
+  RowBatch left_batch_;
+  size_t left_pos_ = 0;
   size_t right_pos_ = 0;
 };
 
@@ -491,7 +479,7 @@ class ClosureOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
@@ -527,7 +515,6 @@ class SubplanCacheOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 

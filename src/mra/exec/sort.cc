@@ -400,13 +400,6 @@ Result<bool> SortOp::EmitNext(Row& slot) {
   return true;
 }
 
-Result<std::optional<Row>> SortOp::NextImpl() {
-  Row row;
-  MRA_ASSIGN_OR_RETURN(bool emitted, EmitNext(row));
-  if (!emitted) return std::optional<Row>();
-  return std::optional<Row>(std::move(row));
-}
-
 Status SortOp::NextBatchImpl(RowBatch& out) {
   while (!out.full()) {
     MRA_ASSIGN_OR_RETURN(bool emitted, EmitNext(out.AppendSlot()));
@@ -453,6 +446,8 @@ SortMergeJoinOp::SortMergeJoinOp(std::vector<size_t> left_keys,
       right_keys_, std::vector<bool>(right_keys_.size(), false), 0,
       spill_bytes, std::move(right));
   schema_ = left_sort_->schema().Concat(right_sort_->schema());
+  left_.side = left_sort_.get();
+  right_.side = right_sort_.get();
 }
 
 int SortMergeJoinOp::CompareKeys(const Tuple& left,
@@ -468,75 +463,85 @@ Status SortMergeJoinOp::OpenImpl() {
   left_group_.clear();
   right_group_.clear();
   li_ = rj_ = 0;
+  left_.Reset();
+  right_.Reset();
   MRA_RETURN_IF_ERROR(left_sort_->Open());
   Status right_open = right_sort_->Open();
   if (!right_open.ok()) {
     left_sort_->Close();
     return right_open;
   }
-  MRA_ASSIGN_OR_RETURN(left_ahead_, left_sort_->Next());
-  MRA_ASSIGN_OR_RETURN(right_ahead_, right_sort_->Next());
   return Status::OK();
 }
 
-Status SortMergeJoinOp::FillGroup(PhysicalOperator& side,
-                                  const std::vector<size_t>& keys,
-                                  std::optional<Row>& ahead,
-                                  std::vector<Row>& group) {
+Result<bool> SortMergeJoinOp::Cursor::Peek() {
+  if (pos < batch.size()) return true;
+  if (done) return false;
+  MRA_RETURN_IF_ERROR(side->NextBatch(batch));
+  pos = 0;
+  done = batch.empty();
+  return !done;
+}
+
+Status SortMergeJoinOp::FillGroup(const std::vector<size_t>& keys,
+                                  Cursor& cursor, std::vector<Row>& group) {
   group.clear();
-  group.push_back(std::move(*ahead));
+  group.push_back(std::move(cursor.row()));
+  ++cursor.pos;
   while (true) {
-    MRA_ASSIGN_OR_RETURN(ahead, side.Next());
-    if (!ahead.has_value()) return Status::OK();
+    MRA_ASSIGN_OR_RETURN(bool more, cursor.Peek());
+    if (!more) return Status::OK();
     for (size_t k : keys) {
-      if (group.front().tuple.at(k).Compare(ahead->tuple.at(k)) != 0) {
+      if (group.front().tuple.at(k).Compare(cursor.row().tuple.at(k)) != 0) {
         return Status::OK();
       }
     }
-    group.push_back(std::move(*ahead));
+    group.push_back(std::move(cursor.row()));
+    ++cursor.pos;
   }
 }
 
-Result<std::optional<Row>> SortMergeJoinOp::NextImpl() {
+Status SortMergeJoinOp::NextBatchImpl(RowBatch& out) {
   while (true) {
-    // Drain the cross product of the current equal-key group pair.
+    // Emit the cross product of the current equal-key group pair into
+    // recycled slots, resuming where the last full batch stopped; a pair
+    // the residual rejects is truncated back off.
     while (li_ < left_group_.size()) {
-      if (rj_ >= right_group_.size()) {
+      if (rj_ == right_group_.size()) {
         rj_ = 0;
         ++li_;
         continue;
       }
+      if (out.full()) return Status::OK();
       const Row& lhs = left_group_[li_];
       const Row& rhs = right_group_[rj_++];
-      Tuple combined = lhs.tuple.Concat(rhs.tuple);
+      Row& slot = out.AppendSlot();
+      slot.tuple.AssignConcat(lhs.tuple, rhs.tuple);
+      slot.count = lhs.count * rhs.count;
       if (residual_ != nullptr) {
-        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, combined));
-        if (!keep) continue;
+        MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, slot.tuple));
+        if (!keep) out.Truncate(out.size() - 1);
       }
-      return std::optional<Row>(Row{std::move(combined),
-                                    lhs.count * rhs.count});
     }
     left_group_.clear();
     right_group_.clear();
     li_ = rj_ = 0;
 
     // Align the two sorted streams on the next shared key.
-    while (left_ahead_.has_value() && right_ahead_.has_value()) {
-      int c = CompareKeys(left_ahead_->tuple, right_ahead_->tuple);
+    while (true) {
+      MRA_ASSIGN_OR_RETURN(bool left_more, left_.Peek());
+      MRA_ASSIGN_OR_RETURN(bool right_more, right_.Peek());
+      if (!left_more || !right_more) return Status::OK();
+      int c = CompareKeys(left_.row().tuple, right_.row().tuple);
       if (c == 0) break;
       if (c < 0) {
-        MRA_ASSIGN_OR_RETURN(left_ahead_, left_sort_->Next());
+        ++left_.pos;
       } else {
-        MRA_ASSIGN_OR_RETURN(right_ahead_, right_sort_->Next());
+        ++right_.pos;
       }
     }
-    if (!left_ahead_.has_value() || !right_ahead_.has_value()) {
-      return std::optional<Row>();
-    }
-    MRA_RETURN_IF_ERROR(
-        FillGroup(*left_sort_, left_keys_, left_ahead_, left_group_));
-    MRA_RETURN_IF_ERROR(
-        FillGroup(*right_sort_, right_keys_, right_ahead_, right_group_));
+    MRA_RETURN_IF_ERROR(FillGroup(left_keys_, left_, left_group_));
+    MRA_RETURN_IF_ERROR(FillGroup(right_keys_, right_, right_group_));
 
     // Both sides of one key group are resident for the cross product —
     // charge them like any other materialising state.
@@ -552,8 +557,8 @@ void SortMergeJoinOp::CloseImpl() {
   right_sort_->Close();
   left_group_.clear();
   right_group_.clear();
-  left_ahead_.reset();
-  right_ahead_.reset();
+  left_.Reset();
+  right_.Reset();
   li_ = rj_ = 0;
 }
 

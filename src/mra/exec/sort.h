@@ -26,16 +26,17 @@
 // SortMergeJoinOp is the planner's second equi-join strategy: both inputs
 // run through internal SortOps on the join keys (inheriting the spill
 // machinery and the ExecContext wiring through children()), then a single
-// forward pass pairs equal-key groups; output multiplicity is the product
-// of the matched input multiplicities (Definition 3.1), with non-equi
-// residual conjuncts applied to the concatenated tuple.
+// forward pass over their batches pairs equal-key groups; output
+// multiplicity is the product of the matched input multiplicities
+// (Definition 3.1), with non-equi residual conjuncts applied to the
+// concatenated tuple.  A group pair's cross product resumes across output
+// batches, so a key group larger than one batch streams.
 
 #ifndef MRA_EXEC_SORT_H_
 #define MRA_EXEC_SORT_H_
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,6 @@ class SortOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
   Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
@@ -165,17 +165,35 @@ class SortMergeJoinOp final : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<Row>> NextImpl() override;
+  Status NextBatchImpl(RowBatch& out) override;
   void CloseImpl() override;
 
  private:
+  /// Peek cursor over one sorted input's NextBatch stream.
+  struct Cursor {
+    SortOp* side = nullptr;
+    RowBatch batch;
+    size_t pos = 0;
+    bool done = false;
+
+    /// Makes row() the next unconsumed row, pulling a batch from `side`
+    /// when the current one is used up; false at end of stream.
+    Result<bool> Peek();
+    Row& row() { return batch[pos]; }
+    void Reset() {
+      batch.Clear();
+      pos = 0;
+      done = false;
+    }
+  };
+
   /// left key attrs vs right key attrs under Value::Compare, in key order.
   int CompareKeys(const Tuple& left, const Tuple& right) const;
 
-  /// Consumes every row whose key equals `group.front()`'s from `side`
-  /// into `group`, leaving the first differing row in `ahead`.
-  Status FillGroup(PhysicalOperator& side, const std::vector<size_t>& keys,
-                   std::optional<Row>& ahead, std::vector<Row>& group);
+  /// Moves every row whose key equals the cursor's current row's into
+  /// `group`, leaving the cursor on the first differing row.
+  static Status FillGroup(const std::vector<size_t>& keys, Cursor& cursor,
+                          std::vector<Row>& group);
 
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
@@ -184,8 +202,8 @@ class SortMergeJoinOp final : public PhysicalOperator {
   std::unique_ptr<SortOp> right_sort_;
   RelationSchema schema_;
 
-  std::optional<Row> left_ahead_;
-  std::optional<Row> right_ahead_;
+  Cursor left_;
+  Cursor right_;
   std::vector<Row> left_group_;
   std::vector<Row> right_group_;
   size_t li_ = 0;  // Cross-product cursor over the current group pair.

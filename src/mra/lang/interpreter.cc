@@ -133,7 +133,7 @@ Result<Relation> Interpreter::EvaluateExpr(const RelExpr& expr,
   stats.lower_us = t3 - t2;
   Result<Relation> result = [&]() -> Result<Relation> {
     obs::ScopedSpan span("execute");
-    return exec::ExecuteToRelation(*root, options_.exec.batch_size);
+    return exec::ExecuteToRelation(*root);
   }();
   uint64_t t4 = NowMicros();
   stats.exec_us = t4 - t3;
@@ -416,7 +416,7 @@ Result<std::string> Interpreter::ExplainExpr(const RelExpr& expr,
   uint64_t t0 = NowMicros();
   Result<Relation> result = [&]() -> Result<Relation> {
     obs::ScopedSpan span("execute");
-    return exec::ExecuteToRelation(*physical, options_.exec.batch_size);
+    return exec::ExecuteToRelation(*physical);
   }();
   uint64_t exec_us = NowMicros() - t0;
   if (!result.ok()) {

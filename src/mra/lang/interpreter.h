@@ -34,7 +34,6 @@ namespace lang {
 /// session, server and examples.  Old field names map as:
 ///   optimize             → config.planner.optimize
 ///   use_physical_exec    → config.exec.use_physical_exec
-///   batch_size           → config.exec.batch_size
 ///   block_on_txn_slot    → config.session.block_on_txn_slot
 ///   statement_timeout_ms → config.governance.statement_timeout_ms
 ///   query_mem_budget_*   → config.governance.query_mem_budget_bytes

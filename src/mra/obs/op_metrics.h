@@ -1,8 +1,8 @@
 // Per-operator execution metrics, filled in by the PhysicalOperator
-// Open/Next/Close wrappers (mra/exec/operator.h).
+// Open/NextBatch/Close wrappers (mra/exec/operator.h).
 //
 // Row counts are always collected (plain single-threaded increments on the
-// operator's own state — a volcano tree never shares an operator across
+// operator's own state — an operator tree never shares an operator across
 // threads).  Wall-clock timing costs two steady_clock reads per call, so
 // it is gated behind the process-wide toggle below, which EXPLAIN ANALYZE
 // and the REPL flip around an execution.  Both the multiplicity-weighted
@@ -19,10 +19,11 @@ namespace mra {
 namespace obs {
 
 struct OperatorMetrics {
-  /// Rows emitted by Next() / NextBatch() (bag-stream rows, not tuples).
+  /// Rows emitted by NextBatch() (bag-stream rows, not tuples).
   uint64_t rows_emitted = 0;
-  /// Non-empty batches emitted by NextBatch(); 0 under pure tuple-at-a-time
-  /// execution.  rows_emitted / batches_emitted is the realized batch fill.
+  /// Non-empty batches emitted by NextBatch() (or, for a stage fused into
+  /// a lane pipeline, by its lanes); 0 for an empty stream.
+  /// rows_emitted / batches_emitted is the realized batch fill.
   uint64_t batches_emitted = 0;
   /// Multiplicity-weighted tuple count: the sum of the emitted counts —
   /// the cardinality of the multi-set the stream denotes.
@@ -69,7 +70,8 @@ inline std::atomic<bool>& ExecTimingFlag() {
 }
 }  // namespace internal
 
-/// Whether operators should measure wall time per Open/Next/Close call.
+/// Whether operators should measure wall time per Open/NextBatch/Close
+/// call.
 inline bool ExecTimingEnabled() {
   return internal::ExecTimingFlag().load(std::memory_order_relaxed);
 }

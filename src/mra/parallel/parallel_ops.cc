@@ -116,7 +116,6 @@ Status HashJoinOp::OpenImpl() {
   partitions_.clear();
   probe_batch_.Clear();
   probe_pos_ = 0;
-  current_left_.reset();
   chain_part_ = nullptr;
   chain_ = kNone;
   Status built = Build();
@@ -220,27 +219,6 @@ size_t HashJoinOp::FindChain(const Tuple& probe, size_t hash,
   return (*part)->FindChain(probe.view(), left_keys_, hash);
 }
 
-Result<std::optional<Row>> HashJoinOp::NextImpl() {
-  while (true) {
-    if (chain_ == kNone) {
-      MRA_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_.has_value()) return std::optional<Row>();
-      ++metrics_.probe_rows;
-      chain_ = FindChain(current_left_->tuple, &chain_part_);
-      continue;
-    }
-    const size_t match = chain_;
-    chain_ = chain_part_->next(match);
-    Row row{Tuple(), current_left_->count * chain_part_->count(match)};
-    row.tuple.AssignConcat(current_left_->tuple, chain_part_->row(match));
-    if (residual_ != nullptr) {
-      MRA_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, row.tuple));
-      if (!keep) continue;
-    }
-    return std::optional<Row>(std::move(row));
-  }
-}
-
 Status HashJoinOp::NextBatchImpl(RowBatch& out) {
   while (!out.full()) {
     if (chain_ == kNone) {
@@ -279,7 +257,6 @@ void HashJoinOp::CloseImpl() {
   staged_.clear();
   probe_batch_.Clear();
   probe_pos_ = 0;
-  current_left_.reset();
   chain_part_ = nullptr;
   chain_ = kNone;
   // Close is idempotent, so this also covers unwinds; a fused probe side
@@ -440,7 +417,7 @@ Status HashGroupByOp::Aggregate() {
 Status HashGroupByOp::EmitGroup(const GroupTable& table, size_t id,
                                 Tuple& out) {
   // Finish() is where Def 3.3's partiality surfaces: AVG/MIN/MAX over an
-  // empty group return kUndefined, which propagates out of Next/NextBatch.
+  // empty group return kUndefined, which propagates out of NextBatch.
   out.Assign(table.index.key(id));
   for (size_t i = 0; i < aggs_.size(); ++i) {
     MRA_ASSIGN_OR_RETURN(Value v,
@@ -448,21 +425,6 @@ Status HashGroupByOp::EmitGroup(const GroupTable& table, size_t id,
     out.Append(std::move(v));
   }
   return Status::OK();
-}
-
-Result<std::optional<Row>> HashGroupByOp::NextImpl() {
-  while (emit_part_ < merged_.size()) {
-    if (emit_pos_ < merged_[emit_part_].index.size()) {
-      Row row{Tuple(), 1};
-      MRA_RETURN_IF_ERROR(
-          EmitGroup(merged_[emit_part_], emit_pos_, row.tuple));
-      ++emit_pos_;
-      return std::optional<Row>(std::move(row));
-    }
-    ++emit_part_;
-    emit_pos_ = 0;
-  }
-  return std::optional<Row>();
 }
 
 Status HashGroupByOp::NextBatchImpl(RowBatch& out) {
@@ -587,19 +549,6 @@ Status DedupOp::Deduplicate() {
   metrics_.distinct_rows = distinct;
   metrics_.peak_hash_entries = std::max(pre_merge_entries, distinct);
   return ChargeMemTo(merged_bytes);
-}
-
-Result<std::optional<Row>> DedupOp::NextImpl() {
-  while (emit_part_ < merged_.size()) {
-    if (emit_pos_ < merged_[emit_part_].size()) {
-      Row row{Tuple(), 1};
-      row.tuple.Assign(merged_[emit_part_].key(emit_pos_++));
-      return std::optional<Row>(std::move(row));
-    }
-    ++emit_part_;
-    emit_pos_ = 0;
-  }
-  return std::optional<Row>();
 }
 
 Status DedupOp::NextBatchImpl(RowBatch& out) {

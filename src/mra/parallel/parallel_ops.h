@@ -5,8 +5,8 @@
 // All three are pipeline breakers.  Each compiles its input subtree into a
 // lane pipeline (mra/parallel/pipeline.h) at construction, and its Open
 // runs that pipeline under one WorkerPool lease with a per-lane sink, then
-// finishes with one synchronisation phase; Next/NextBatch stream the
-// finished state.  A HashJoinOp is also a pipeline *stage*: when its
+// finishes with one synchronisation phase; NextBatch streams the finished
+// state.  A HashJoinOp is also a pipeline *stage*: when its
 // parent fuses it, its Open only builds, and the parent's lanes probe the
 // finished build morsel by morsel.  Pulled through NextBatch instead (as a
 // plan root, or under a parent that does not fuse), it probes on the
@@ -81,7 +81,6 @@ class HashJoinOp final : public exec::PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<exec::Row>> NextImpl() override;
   Status NextBatchImpl(exec::RowBatch& out) override;
   void CloseImpl() override;
 
@@ -138,7 +137,6 @@ class HashJoinOp final : public exec::PhysicalOperator {
   // position in the match chain.
   exec::RowBatch probe_batch_;
   size_t probe_pos_ = 0;
-  std::optional<exec::Row> current_left_;
   const Partition* chain_part_ = nullptr;
   size_t chain_ = kNone;
 };
@@ -166,7 +164,6 @@ class HashGroupByOp final : public exec::PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<exec::Row>> NextImpl() override;
   Status NextBatchImpl(exec::RowBatch& out) override;
   void CloseImpl() override;
 
@@ -219,7 +216,6 @@ class DedupOp final : public exec::PhysicalOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<std::optional<exec::Row>> NextImpl() override;
   Status NextBatchImpl(exec::RowBatch& out) override;
   void CloseImpl() override;
 

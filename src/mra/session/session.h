@@ -90,7 +90,7 @@ class EmbeddedSession : public Session {
  public:
   /// Opens (and, when `db_options.directory` is set, recovers) a database
   /// and wires an interpreter to it.  `interp_options` selects optimizer,
-  /// executor and batch size (InterpreterOptions::batch_size).
+  /// executor, parallelism and governance (InterpreterOptions).
   static Result<std::unique_ptr<EmbeddedSession>> Open(
       DatabaseOptions db_options = {},
       lang::InterpreterOptions interp_options = {});

@@ -329,9 +329,9 @@ TEST(OperatorContractTest, CloseMidStreamReleasesCleanly) {
   HashJoinOp op({0}, {0}, nullptr, std::make_unique<ScanOp>(&a),
                 std::make_unique<ScanOp>(&b));
   ASSERT_OK(op.Open());
-  auto row = op.Next();
-  ASSERT_OK(row);
-  EXPECT_TRUE(row->has_value());
+  RowBatch batch(1);
+  ASSERT_OK(op.NextBatch(batch));
+  EXPECT_EQ(batch.size(), 1u);
   op.Close();  // Build table freed with the stream half-drained.
   op.Close();
   EXPECT_EQ(op.metrics().peak_hash_entries, 3u);

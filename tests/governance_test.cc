@@ -4,7 +4,7 @@
 // Covers the ExecContext contract directly, then the interpreter-level
 // behavior: kills land with the right distinct status (kCancelled /
 // kDeadlineExceeded / kResourceExhausted), within a batch boundary, at
-// every batch size, for every operator kind; a killed transaction bracket
+// every morsel size, for every operator kind; a killed transaction bracket
 // leaves the database exactly as if the script never ran; charged memory
 // is fully released; the exec.*_total counters and the slow-log
 // "killed:<reason>" tag fire.  The deterministic cancel points use the
@@ -159,7 +159,7 @@ uint64_t CounterValue(const char* name) {
 }
 
 // Every operator kind the planner can emit for these queries, each killed
-// by the exec.cancel.batch failpoint at batch sizes 1, 7 and 1024: the
+// by the exec.cancel.batch failpoint at morsel sizes 1, 7 and 1024: the
 // kill must surface as kCancelled, and with the failpoint disarmed the
 // very same query must succeed (no poisoned state left behind).
 TEST_F(GovernanceTest, BatchBoundaryCancelKillsEveryOperatorKind) {
@@ -180,9 +180,9 @@ TEST_F(GovernanceTest, BatchBoundaryCancelKillsEveryOperatorKind) {
   // One lane and four: every hash kernel and sort runs on the lane count
   // its workers allow (threshold 0 lifts the size cut-off).
   for (size_t workers : {size_t{0}, size_t{4}}) {
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
+    for (size_t morsel : {size_t{1}, size_t{7}, size_t{1024}}) {
       lang::InterpreterOptions options;
-      options.exec.batch_size = batch;
+      options.exec.morsel_size = morsel;
       options.exec.workers = workers;
       options.exec.parallel_threshold = 0;
       lang::Interpreter interp(db.get(), options);
@@ -194,7 +194,7 @@ TEST_F(GovernanceTest, BatchBoundaryCancelKillsEveryOperatorKind) {
         auto killed = interp.Query(q);
         fault::FaultRegistry::Global().DisarmAll();
         ASSERT_FALSE(killed.ok())
-            << q << " survived an armed cancel (batch=" << batch
+            << q << " survived an armed cancel (morsel=" << morsel
             << ", workers=" << workers << ")";
         EXPECT_EQ(killed.status().code(), StatusCode::kCancelled) << q;
         EXPECT_EQ(CounterValue("exec.cancelled_total"), cancelled_before + 1);
@@ -244,8 +244,15 @@ TEST_F(GovernanceTest, StatementTimeoutKillsWithDeadlineExceeded) {
   EXPECT_NE(killed.status().message().find("statement timeout"),
             std::string::npos);
   EXPECT_EQ(CounterValue("exec.deadline_exceeded_total"), before + 1);
-  // The interpreter is reusable after a deadline kill.
-  EXPECT_TRUE(interp.Query("select(%1 > 50, r)").ok());
+  // The interpreter is reusable after a deadline kill.  The reuse query
+  // runs under a generous timeout, so only a deadline or kill state
+  // carried over from the killed query could fail it — not its own run
+  // time on a slow (sanitized, loaded) host.
+  ASSERT_TRUE(
+      interp.ExecuteScript("set statement_timeout_ms = 60000;", nullptr).ok());
+  auto reused = interp.Query("select(%1 > 50, r)");
+  EXPECT_TRUE(reused.ok()) << reused.status().ToString();
+  EXPECT_EQ(CounterValue("exec.deadline_exceeded_total"), before + 1);
 }
 
 TEST_F(GovernanceTest, MemoryBudgetKillsWithResourceExhausted) {
@@ -461,6 +468,40 @@ TEST_F(GovernanceTest, CancelLandsInsideASpillingSort) {
   ASSERT_FALSE(killed.ok());
   EXPECT_EQ(killed.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(LeakedRunFiles(), files_before);
+}
+
+TEST_F(GovernanceTest, SortMergeJoinKilledMidGroupUnwindsCleanly) {
+  // One key group of 6 × 8 rows: drained at capacity 7 its 48 pairs span
+  // several batches.  Both inner sorts spill (64-byte runs), so the kill
+  // between two batches of the group lands with the group charged and run
+  // files open; the unwind must return every byte and remove every run.
+  RelationSchema schema("g", {Attribute{"k", Type::Int()},
+                              Attribute{"v", Type::Int()}});
+  Relation left(schema);
+  Relation right(schema);
+  for (int64_t i = 0; i < 6; ++i) {
+    left.InsertUnchecked(Tuple({Value::Int(1), Value::Int(i)}), 1);
+  }
+  for (int64_t j = 0; j < 8; ++j) {
+    right.InsertUnchecked(Tuple({Value::Int(1), Value::Int(j)}), 2);
+  }
+  size_t files_before = LeakedRunFiles();
+  ExecContext ctx;
+  SortMergeJoinOp op({0}, {0}, nullptr, std::make_unique<ScanOp>(&left),
+                     std::make_unique<ScanOp>(&right), /*spill_bytes=*/64);
+  op.SetExecContext(&ctx);
+  ASSERT_TRUE(op.Open().ok());
+  EXPECT_GT(LeakedRunFiles(), files_before) << "inner sorts did not spill";
+  RowBatch batch(7);
+  ASSERT_TRUE(op.NextBatch(batch).ok());
+  EXPECT_EQ(batch.size(), 7u);
+  EXPECT_GT(ctx.mem_used(), 0u) << "the resident group is not charged";
+  ctx.RequestCancel();
+  Status killed = op.NextBatch(batch);
+  EXPECT_EQ(killed.code(), StatusCode::kCancelled) << killed.ToString();
+  op.Close();
+  EXPECT_EQ(ctx.mem_used(), 0u) << "leaked charged bytes";
+  EXPECT_EQ(LeakedRunFiles(), files_before) << "leaked run files";
 }
 
 TEST_F(GovernanceTest, JoinBuildChargesItsRowValues) {

@@ -56,16 +56,15 @@ struct Profile {
 constexpr Profile kProfiles[] = {
     {1, 200, 25}, {5, 200, 25}, {1'000'000, 40, 8}};
 
-/// Executes through both protocols (row-at-a-time and default batches) and
-/// checks each against `expected`.
+/// Executes at an odd batch capacity and at the default one, and checks
+/// each drain against `expected`.
 void ExpectOperatorResult(const std::function<PhysOpPtr()>& make,
                           const Relation& expected, const char* what) {
-  for (size_t batch_size : {size_t{0}, kDefaultBatchSize}) {
+  for (size_t capacity : {size_t{7}, kDefaultBatchSize}) {
     PhysOpPtr op = make();
-    auto got = ExecuteToRelation(*op, batch_size);
+    auto got = ExecuteToRelation(*op, capacity);
     ASSERT_OK(got);
-    EXPECT_REL_EQ(*got, expected)
-        << what << " (batch_size=" << batch_size << ")";
+    EXPECT_REL_EQ(*got, expected) << what << " (capacity=" << capacity << ")";
   }
 }
 

@@ -189,12 +189,17 @@ TEST(IntegrationTest, SetStatementRetunesTheSession) {
   EXPECT_EQ(rows->size(), 2u);
   EXPECT_EQ(xra.ExecuteScript("set no_such_knob = 7;", nullptr).code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(xra.ExecuteScript("set batch_size = 7;", nullptr).code(),
+            StatusCode::kInvalidArgument);
   // Inside a bracket SET is rejected: config is not transactional.
   EXPECT_EQ(xra.ExecuteScript("begin set workers = 1 end;", nullptr).code(),
             StatusCode::kTxnError);
 
   sql::SqlSession sql(db->get());
-  ASSERT_OK(sql.Execute("SET batch_size = 7"));
+  ASSERT_OK(sql.Execute("SET morsel_size = 7"));
+  // The batch capacity is not a knob: plans always drain at the default.
+  EXPECT_EQ(sql.Execute("SET batch_size = 7").code(),
+            StatusCode::kInvalidArgument);
   auto count = sql.ExecuteCollect("SELECT COUNT(*) FROM t");
   ASSERT_OK(count);
   EXPECT_EQ((*count)[0].Multiplicity(Tuple({Value::Int(3)})), 1u);

@@ -14,7 +14,7 @@
 //
 // Each property runs over 8 random seeds, all six value domains (bool,
 // int, real, string, decimal, date), multi-key and descending orders,
-// multiplicities up to 1e6, batch sizes 1/7/1024, and — via a tiny
+// multiplicities up to 1e6, batch capacities 1/7/1024, and — via a tiny
 // sort_spill_bytes — the forced external-merge spill path.
 
 #include "mra/exec/sort.h"
@@ -43,58 +43,56 @@ using ::mra::testing::IntRel;
 using ::mra::testing::RandomIntRelation;
 using ::mra::testing::RandomMixedRelation;
 
-// Drains `op` row-at-a-time, asserting the emitted stream is ordered
-// under CompareForSort, and returns the emitted bag.
+// Drains `op` in batches of `capacity` rows, asserting the emitted stream
+// is ordered under CompareForSort — across batch edges as well as within
+// a batch — and returns the emitted bag.
 Result<Relation> DrainOrdered(PhysicalOperator& op,
                               const std::vector<size_t>& keys,
-                              const std::vector<bool>& desc) {
+                              const std::vector<bool>& desc, size_t capacity) {
   MRA_RETURN_IF_ERROR(op.Open());
   Relation out(op.schema());
   std::optional<Tuple> prev;
+  RowBatch batch(capacity);
   while (true) {
-    MRA_ASSIGN_OR_RETURN(std::optional<Row> row, op.Next());
-    if (!row.has_value()) break;
-    if (prev.has_value()) {
-      EXPECT_LE(ops::CompareForSort(*prev, row->tuple, keys, desc), 0)
-          << "stream out of order: " << prev->ToString() << " before "
-          << row->tuple.ToString();
+    Status pulled = op.NextBatch(batch);
+    if (!pulled.ok()) {
+      op.Close();
+      return pulled;
     }
-    prev = row->tuple;
-    out.InsertUnchecked(row->tuple, row->count);
+    if (batch.empty()) break;
+    for (const Row& row : batch) {
+      if (prev.has_value()) {
+        EXPECT_LE(ops::CompareForSort(*prev, row.tuple, keys, desc), 0)
+            << "stream out of order at capacity " << capacity << ": "
+            << prev->ToString() << " before " << row.tuple.ToString();
+      }
+      prev = row.tuple;
+      out.InsertUnchecked(row.tuple, row.count);
+    }
   }
   op.Close();
   return out;
 }
 
-// One sort configuration checked end to end: bag equality against the
-// definitional ops::Sort, stream orderedness, and (when expected) the
-// spill trip, at every batch protocol.
+// One sort configuration checked end to end at batch capacities 1, 7 and
+// 1024: bag equality against the definitional ops::Sort, stream
+// orderedness, and (when expected) the spill trip.
 void ExpectSortAgreement(const Relation& input, std::vector<size_t> keys,
                          std::vector<bool> desc, uint64_t limit,
                          uint64_t spill_bytes, bool expect_spill) {
   auto expected = ops::Sort(keys, desc, limit, input);
   ASSERT_OK(expected);
-
-  // Row-at-a-time, with the order assertion.
-  {
+  for (size_t capacity : {size_t{1}, size_t{7}, size_t{1024}}) {
     SortOp op(keys, desc, limit, spill_bytes,
               std::make_unique<ScanOp>(&input));
-    auto got = DrainOrdered(op, keys, desc);
+    auto got = DrainOrdered(op, keys, desc, capacity);
     ASSERT_OK(got);
-    EXPECT_REL_EQ(*got, *expected);
+    EXPECT_REL_EQ(*got, *expected) << "capacity " << capacity;
     if (expect_spill) {
       EXPECT_GT(op.spilled_runs(), 0u) << "expected a forced spill";
     } else if (spill_bytes == 0) {
       EXPECT_EQ(op.spilled_runs(), 0u);
     }
-  }
-  // Batch protocol at the three canonical sizes.
-  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
-    SortOp op(keys, desc, limit, spill_bytes,
-              std::make_unique<ScanOp>(&input));
-    auto got = ExecuteToRelation(op, batch_size);
-    ASSERT_OK(got);
-    EXPECT_REL_EQ(*got, *expected) << "batch size " << batch_size;
   }
 }
 
@@ -173,9 +171,9 @@ TEST_P(SortDifferentialTest, EmptyAndSingletonInputs) {
 
 using OpFactory = std::function<PhysOpPtr()>;
 
-Relation MustExecute(const OpFactory& make, size_t batch_size) {
+Relation MustExecute(const OpFactory& make, size_t capacity) {
   PhysOpPtr op = make();
-  auto rel = ExecuteToRelation(*op, batch_size);
+  auto rel = ExecuteToRelation(*op, capacity);
   EXPECT_TRUE(rel.ok()) << rel.status().ToString();
   return rel.ok() ? std::move(*rel) : Relation(op->schema());
 }
@@ -201,14 +199,14 @@ TEST_P(SortDifferentialTest, SortMergeJoinAgreesWithHashAndNestedLoop) {
         Eq(Attr(0), Attr(2)), std::make_unique<ScanOp>(&r),
         std::make_unique<ScanOp>(&s));
   };
-  Relation via_hash = MustExecute(hash, 0);
+  Relation via_hash = MustExecute(hash, 7);
   auto oracle = ops::Join(Eq(Attr(0), Attr(2)), r, s);
   ASSERT_OK(oracle);
   EXPECT_REL_EQ(via_hash, *oracle);
-  EXPECT_REL_EQ(MustExecute(nested, 0), via_hash);
-  for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
-    EXPECT_REL_EQ(MustExecute(merge, batch_size), via_hash)
-        << "batch size " << batch_size;
+  EXPECT_REL_EQ(MustExecute(nested, 7), via_hash);
+  for (size_t capacity : {size_t{1}, size_t{7}, size_t{1024}}) {
+    EXPECT_REL_EQ(MustExecute(merge, capacity), via_hash)
+        << "capacity " << capacity;
   }
 }
 
@@ -258,7 +256,7 @@ TEST(SortContractTest, ReopenReplaysTheStream) {
   Relation r = IntRel("r", {{3}, {1}, {2}}, 1);
   SortOp op({0}, {false}, 0, 0, std::make_unique<ScanOp>(&r));
   for (int round = 0; round < 2; ++round) {
-    auto got = DrainOrdered(op, {0}, {false});
+    auto got = DrainOrdered(op, {0}, {false}, 7);
     ASSERT_OK(got);
     EXPECT_REL_EQ(*got, r);
   }
@@ -268,9 +266,9 @@ TEST(SortContractTest, SpilledReopenReplaysAndRewritesRuns) {
   std::mt19937_64 rng(7);
   Relation r = RandomIntRelation(rng, 2, 200, 50, 3);
   SortOp op({0}, {false}, 0, 64, std::make_unique<ScanOp>(&r));
-  auto first = DrainOrdered(op, {0}, {false});
+  auto first = DrainOrdered(op, {0}, {false}, 7);
   ASSERT_OK(first);
-  auto second = DrainOrdered(op, {0}, {false});
+  auto second = DrainOrdered(op, {0}, {false}, 7);
   ASSERT_OK(second);
   EXPECT_REL_EQ(*first, *second);
   EXPECT_REL_EQ(*first, r);
